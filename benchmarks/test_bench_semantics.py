@@ -135,7 +135,7 @@ def test_bench_large_system_compiled_evaluation(benchmark):
     formulas = [
         formula
         for formula in pool.formulas
-        if is_ground(formula) and probe._supported(formula)
+        if is_ground(formula) and probe.can_compile(formula)
     ][:8]
     assert len(formulas) == 8
 

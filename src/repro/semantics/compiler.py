@@ -1,41 +1,47 @@
-"""Compiled evaluation: the truth definition, flattened per system.
+"""Compiled evaluation: the truth definition as one memoized table.
 
 The recursive :class:`~repro.semantics.evaluator.Evaluator` re-matches
 the same formula ASTs structurally at every point — for sweep-shaped
 workloads (many instances × every point of the system) more than half
-the work is dispatch and memo-key hashing.  This module compiles each
-formula **once** per ``(system, goodruns, pattern_hide)`` into a tree
-of closures whose unit of evaluation is the *whole system*:
+the work is dispatch and memo-key hashing.  The paper's truth
+definition maps a formula to the set of points where it holds; this
+module computes that map per ``(system, goodruns, pattern_hide)`` as
+**one memo**, ``formula → bitset``, whose unit of evaluation is the
+*whole system*:
 
 * Points are numbered into dense ints (``system.points()`` order), so
   a truth value over the system is a single Python-int **bitset** —
   bit ``i`` is the verdict at point ``i``.
 * Connectives become direct bitwise ops on those ints (``&``, ``|``,
-  ``^``) — no ``match`` re-dispatch, no per-point memo lookups.
+  ``^``) — no per-point re-dispatch, no per-point memo lookups.
 * ``Sees``/``Said``/``Says``/``Fresh`` and the key-goodness clauses
-  bind their precomputed ``_seen_set``/``_said_entries``/
-  ``_past_submsgs`` tables at compile time and emit their truth
-  vector in one pass over the points.
+  read the interpreter's precomputed ``_seen_set``/``_said_entries``/
+  ``_past_submsgs`` tables and return their truth vector in one pass
+  over the points.
 * ``Believes`` precomputes the principal's possibility index: points
   are grouped by hidden view, every view class is a bitset, and the
   belief check collapses to one subset test per class
-  (``class & body == class``) — the per-(formula, viewclass) memo the
-  interpreter's per-point loop could never amortize.
-* ``ForAll`` expands over the vocabulary at compile time.
+  (``class & body == class``) — the per-(formula, viewclass) sharing
+  the interpreter's per-point loop could never amortize.  The clause
+  itself is the backend seam, :meth:`CompiledSystem.belief_clause`.
+* ``ForAll`` expands over the vocabulary.
 
-Compiled nodes are cached per *interned* formula, so schema instances
-sharing subformulas share both the closures and their computed bitsets.
+One recursive walk fills the memo: each ground subformula's bitset is
+computed once, keyed by the *interned* formula, so schema instances
+sharing subformulas share their bitsets, and nothing but an int (or
+``None``) is retained per subformula.
 
 **Fidelity.**  The compiler is a fast path, not a second semantics:
-anything it cannot compile with byte-identical behaviour — a formula
+anything it cannot compute with byte-identical behaviour — a formula
 mentioning a principal without local state in some run (where the
 interpreter's error behaviour is point- and order-dependent), an
-unknown connective, a malformed ``pk(...)`` — falls back to a private
-interpreter ``Evaluator`` sharing the same parameters.  Tracing always
-takes the interpreter (:meth:`CompiledSystem.evaluate_traced`): trace
-fidelity is cheaper to inherit than to re-emit.  The
-``compiled_vs_interpreted`` fuzz oracle (:mod:`repro.fuzz.oracles`)
-holds the two engines byte-identical across campaigns.
+unknown connective, a malformed ``pk(...)`` — is memoized as ``None``
+and falls back to a private interpreter ``Evaluator`` sharing the same
+parameters.  Tracing always takes the interpreter
+(:meth:`CompiledSystem.evaluate_traced`): trace fidelity is cheaper to
+inherit than to re-emit.  The ``compiled_vs_interpreted`` fuzz oracle
+(:mod:`repro.fuzz.oracles`) holds the two engines byte-identical
+across campaigns.
 
 Compiled state is session-owned: :func:`compiled_for` caches
 ``CompiledSystem`` instances on the current
@@ -47,6 +53,8 @@ memoization layer.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from types import MappingProxyType
 from typing import Callable
 
 from repro import context as _context
@@ -82,9 +90,12 @@ from repro.terms.formulas import (
 from repro.terms.messages import Combined, Encrypted
 from repro.terms.ops import free_parameters, is_ground, substitute
 
-#: A compiled node: a zero-argument closure returning the formula's
-#: truth bitset over the system's dense point numbering (memoized).
-BitsFn = Callable[[], int]
+#: Belief groups of one principal: ``(members, possible)`` bit pairs,
+#: one per hidden-view class.
+BeliefGroups = tuple[tuple[int, int], ...]
+
+#: Memo sentinel: distinguishes "absent" from "cached as uncompilable".
+_MISSING = object()
 
 
 def _clear_compiled() -> None:
@@ -93,7 +104,7 @@ def _clear_compiled() -> None:
 
 def _compiled_size() -> int:
     return sum(
-        len(compiled._nodes)
+        len(compiled._bits)
         for compiled in _context.current().compiled_systems.values()
     )
 
@@ -110,7 +121,14 @@ class CompiledSystem:
     without restructuring.  Obtain instances through
     :func:`compiled_for`, which caches them on the current engine
     context.
+
+    A backend changes the truth definition by overriding
+    :meth:`belief_clause` and naming its interpreter in
+    ``interpreter_class``; every other clause is shared.
     """
+
+    #: The fallback and tracing interpreter of this backend.
+    interpreter_class: type[Evaluator] = Evaluator
 
     def __init__(
         self,
@@ -134,15 +152,13 @@ class CompiledSystem:
             self._run_masks[run.name] = (
                 self._run_masks.get(run.name, 0) | (1 << i)
             )
-        #: Compiled nodes, keyed by (interned) ground formula.
-        self._nodes: dict[Formula, BitsFn] = {}
-        #: Supportedness verdicts, keyed by formula.
-        self._support: dict[Formula, bool] = {}
+        #: Truth bitsets keyed by (interned) ground formula; ``None``
+        #: marks a formula the compiled path cannot answer faithfully.
+        self._bits: dict[Formula, int | None] = {}
         #: Principal uniformity (state in every run), keyed by principal.
         self._uniform: dict[Principal, bool] = {}
-        #: Belief groups per principal: tuple of (members, possible) bit
-        #: pairs — one entry per hidden-view class.
-        self._belief_groups: dict[Principal, tuple[tuple[int, int], ...]] = {}
+        #: Belief groups per principal, one entry per hidden-view class.
+        self._belief_groups: dict[Principal, BeliefGroups] = {}
         self._interpreter: Evaluator | None = None
 
     # -- public API -----------------------------------------------------------
@@ -157,7 +173,7 @@ class CompiledSystem:
         semantics by construction.
         """
         if self._interpreter is None:
-            self._interpreter = Evaluator(
+            self._interpreter = self.interpreter_class(
                 self.system, self.goodruns, pattern_hide=self.pattern_hide
             )
         return self._interpreter
@@ -203,9 +219,9 @@ class CompiledSystem:
         Tracing runs through a fresh interpreter sharing this compiled
         system's parameters: the trace records are identical to the
         interpreted engine's by construction (cheaper than teaching
-        every compiled closure to emit them).
+        every compiled clause to emit them).
         """
-        traced = Evaluator(
+        traced = self.interpreter_class(
             self.system, self.goodruns,
             pattern_hide=self.pattern_hide, tracer=tracer,
         )
@@ -218,43 +234,37 @@ class CompiledSystem:
         The formula must be ground (callers go through
         :meth:`evaluate`, which substitutes parameters first).
         """
-        # Journal only the *first* verdict per formula shape (the
-        # support memo makes "first" cheap to detect): the flight
-        # recorder wants "this shape fell back", not one event per
-        # point of a hot loop.
-        known = formula in self._support
-        if not self._supported(formula):
-            perf.count("compiled_eval.fallback")
-            if not known:
+        bits = self._bits.get(formula, _MISSING)
+        if bits is _MISSING:
+            bits = self._compute(formula)
+            if bits is None:
+                # Journal only the *first* verdict per formula shape:
+                # the flight recorder wants "this shape fell back", not
+                # one event per point of a hot loop.
                 from repro.obs import journal
 
                 journal.record(
                     "fallback", engine="compiled",
                     formula=str(formula)[:160],
                 )
-            return None
-        node = self._nodes.get(formula)
-        if node is not None:
+        elif bits is not None:
             perf.count("compiled_eval.hit")
-        else:
-            perf.count("compiled_eval.miss")
-            node = self._build(formula)
-            self._nodes[formula] = node
-        return node()
+            return bits
+        if bits is None:
+            perf.count("compiled_eval.fallback")
+        return bits
 
     def run_mask(self, name: str) -> int:
         """The point mask of one run (0 for a name not in the system)."""
         return self._run_masks.get(name, 0)
 
-    def belief_groups(
-        self, principal: Principal
-    ) -> tuple[tuple[int, int], ...]:
+    def belief_groups(self, principal: Principal) -> BeliefGroups:
         """The principal's (members, possible) view-class bit pairs."""
         return self._belief_groups_for(principal)
 
     def can_compile(self, formula: Formula) -> bool:
         """Whether :meth:`truth_bits` can answer for this formula."""
-        return self._supported(formula)
+        return self._lookup(formula) is not None
 
     def uniform_principal(self, term: Message) -> bool:
         """Whether ``term`` is a principal with state in every run."""
@@ -263,15 +273,47 @@ class CompiledSystem:
     def cache_stats(self) -> dict[str, int]:
         """Sizes of this compiled system's internal tables."""
         return {
-            "compiled_nodes": len(self._nodes),
-            "support_entries": len(self._support),
+            "bitsets": sum(bits is not None for bits in self._bits.values()),
+            "uncompilable": sum(bits is None for bits in self._bits.values()),
             "belief_groups": sum(
                 len(groups) for groups in self._belief_groups.values()
             ),
             "points": len(self.points),
         }
 
-    # -- supportedness --------------------------------------------------------
+    def belief_clause(self, groups: BeliefGroups, body_bits: int) -> int:
+        """``P believes φ`` over the whole system, from P's view classes
+        and the truth bitset of φ — the one clause a backend overrides.
+
+        The paper's clause: a view class believes φ iff φ holds on every
+        point of its possibility set (vacuously, on an empty one).
+        """
+        bits = 0
+        for members, possible in groups:
+            if possible & body_bits == possible:
+                bits |= members
+        return bits
+
+    # -- the memo -------------------------------------------------------------
+
+    def _lookup(self, formula: Formula) -> int | None:
+        """A subformula's bitset, computed on first use."""
+        bits = self._bits.get(formula, _MISSING)
+        if bits is _MISSING:
+            return self._compute(formula)
+        if bits is not None:
+            perf.count("compiled_eval.hit")
+        return bits
+
+    def _compute(self, formula: Formula) -> int | None:
+        """Compute and memoize one formula's bitset (``None``: the
+        compiled path cannot reproduce the interpreter exactly)."""
+        clause = _CLAUSES.get(type(formula))
+        bits = None if clause is None else clause(self, formula)
+        self._bits[formula] = bits
+        if bits is not None:
+            perf.count("compiled_eval.miss")
+        return bits
 
     def _uniform_principal(self, term: Message) -> bool:
         """True iff ``term`` is a principal with local state in every run
@@ -287,305 +329,202 @@ class CompiledSystem:
             self._uniform[term] = cached
         return cached
 
-    def _supported(self, formula: Formula) -> bool:
-        """Whether the compiled path reproduces the interpreter exactly.
+    # -- connectives ----------------------------------------------------------
 
-        Anything where the interpreter's behaviour is point-dependent in
-        a way wholesale evaluation cannot honour (state-missing
-        principals whose errors interact with connective
-        short-circuiting, malformed ``pk``, unknown nodes) is left to
-        the interpreter.
-        """
-        cached = self._support.get(formula)
-        if cached is not None:
-            return cached
-        value = self._supported_uncached(formula)
-        self._support[formula] = value
-        return value
+    def _not(self, formula: Not) -> int | None:
+        body = self._lookup(formula.body)
+        return None if body is None else self.full_mask ^ body
 
-    def _supported_uncached(self, formula: Formula) -> bool:
-        if isinstance(formula, (Truth, Prim, Fresh)):
-            return True
-        if isinstance(formula, Not):
-            return self._supported(formula.body)
-        if isinstance(formula, And):
-            return self._supported(formula.left) and self._supported(formula.right)
-        if isinstance(formula, Or):
-            return self._supported(formula.left) and self._supported(formula.right)
-        if isinstance(formula, Implies):
-            return (
-                self._supported(formula.antecedent)
-                and self._supported(formula.consequent)
-            )
-        if isinstance(formula, Iff):
-            return self._supported(formula.left) and self._supported(formula.right)
-        if isinstance(formula, (Sees, Said, Says)):
-            return self._uniform_principal(formula.principal)
-        if isinstance(formula, Has):
-            return self._uniform_principal(formula.principal)
-        if isinstance(formula, (Controls, Believes)):
-            return self._uniform_principal(formula.principal) and self._supported(
-                formula.body
-            )
-        if isinstance(formula, (SharedKey, SharedSecret)):
-            return isinstance(formula.left, Principal) and isinstance(
-                formula.right, Principal
-            )
-        if isinstance(formula, PublicKeyOf):
-            return isinstance(formula.principal, Principal) and isinstance(
-                formula.key, PublicKey
-            )
-        if isinstance(formula, ForAll):
-            constants = self.system.vocabulary.constants(
-                formula.variable.value_sort
-            )
-            return all(
-                self._supported(
-                    substitute(formula.body, {formula.variable: constant})
-                )
-                for constant in constants
-            )
-        return False
+    def _pair(self, left: Formula, right: Formula) -> tuple[int, int] | None:
+        left_bits = self._lookup(left)
+        if left_bits is None:
+            return None
+        right_bits = self._lookup(right)
+        if right_bits is None:
+            return None
+        return left_bits, right_bits
 
-    # -- compilation ----------------------------------------------------------
+    def _and(self, formula: And) -> int | None:
+        pair = self._pair(formula.left, formula.right)
+        return None if pair is None else pair[0] & pair[1]
 
-    def _compile(self, formula: Formula) -> BitsFn:
-        node = self._nodes.get(formula)
-        if node is not None:
-            perf.count("compiled_eval.hit")
-            return node
-        perf.count("compiled_eval.miss")
-        node = self._build(formula)
-        self._nodes[formula] = node
-        return node
+    def _or(self, formula: Or) -> int | None:
+        pair = self._pair(formula.left, formula.right)
+        return None if pair is None else pair[0] | pair[1]
 
-    def _build(self, formula: Formula) -> BitsFn:
-        """One compiled node: a memoizing closure over child closures."""
-        compute = self._builder(formula)
-        cell: int | None = None
+    def _implies(self, formula: Implies) -> int | None:
+        pair = self._pair(formula.antecedent, formula.consequent)
+        return None if pair is None else (self.full_mask ^ pair[0]) | pair[1]
 
-        def bits() -> int:
-            nonlocal cell
-            if cell is None:
-                cell = compute()
-            return cell
-
-        return bits
-
-    def _builder(self, formula: Formula) -> Callable[[], int]:
-        full = self.full_mask
-        if isinstance(formula, Truth):
-            return lambda: full
-        if isinstance(formula, Prim):
-            return self._build_prim(formula)
-        if isinstance(formula, Not):
-            body = self._compile(formula.body)
-            return lambda: full ^ body()
-        if isinstance(formula, And):
-            left, right = self._compile(formula.left), self._compile(formula.right)
-            return lambda: left() & right()
-        if isinstance(formula, Or):
-            left, right = self._compile(formula.left), self._compile(formula.right)
-            return lambda: left() | right()
-        if isinstance(formula, Implies):
-            antecedent = self._compile(formula.antecedent)
-            consequent = self._compile(formula.consequent)
-            return lambda: (full ^ antecedent()) | consequent()
-        if isinstance(formula, Iff):
-            left, right = self._compile(formula.left), self._compile(formula.right)
-            return lambda: full ^ (left() ^ right())
-        if isinstance(formula, Sees):
-            return self._build_sees(formula)
-        if isinstance(formula, Said):
-            return self._build_said(formula, present_only=False)
-        if isinstance(formula, Says):
-            return self._build_said(formula, present_only=True)
-        if isinstance(formula, Controls):
-            return self._build_controls(formula)
-        if isinstance(formula, Fresh):
-            return self._build_fresh(formula)
-        if isinstance(formula, Has):
-            return self._build_has(formula)
-        if isinstance(formula, SharedKey):
-            return self._build_goodness(
-                formula.left, formula.right,
-                lambda component: isinstance(component, Encrypted)
-                and component.key == formula.key,
-            )
-        if isinstance(formula, PublicKeyOf):
-            private = formula.key.partner  # type: ignore[union-attr]
-            return self._build_goodness(
-                formula.principal, formula.principal,
-                lambda component: isinstance(component, Encrypted)
-                and component.key == private,
-            )
-        if isinstance(formula, SharedSecret):
-            return self._build_goodness(
-                formula.left, formula.right,
-                lambda component: isinstance(component, Combined)
-                and component.secret == formula.secret,
-            )
-        if isinstance(formula, Believes):
-            return self._build_believes(formula)
-        if isinstance(formula, ForAll):
-            return self._build_forall(formula)
-        raise SemanticsError(f"cannot compile {formula!r}")  # pragma: no cover
+    def _iff(self, formula: Iff) -> int | None:
+        pair = self._pair(formula.left, formula.right)
+        return None if pair is None else self.full_mask ^ (pair[0] ^ pair[1])
 
     # -- leaf clauses ---------------------------------------------------------
 
-    def _build_prim(self, formula: Prim) -> Callable[[], int]:
+    def _prim(self, formula: Prim) -> int:
         holds = self.system.interpretation.holds
         atom = formula.atom
-        points = self.points
+        bits = 0
+        for i, (run, k) in enumerate(self.points):
+            if holds(atom, run, k):
+                bits |= 1 << i
+        return bits
 
-        def compute() -> int:
-            bits = 0
-            for i, (run, k) in enumerate(points):
-                if holds(atom, run, k):
-                    bits |= 1 << i
-            return bits
-
-        return compute
-
-    def _build_sees(self, formula: Sees) -> Callable[[], int]:
+    def _sees(self, formula: Sees) -> int | None:
         principal = formula.principal
+        if not self._uniform_principal(principal):
+            return None
         message = formula.message
         seen_set = self.interpreter._seen_set
-        points = self.points
+        bits = 0
+        for i, (run, k) in enumerate(self.points):
+            if message in seen_set(principal, run, k):
+                bits |= 1 << i
+        return bits
 
-        def compute() -> int:
-            bits = 0
-            for i, (run, k) in enumerate(points):
-                if message in seen_set(principal, run, k):
-                    bits |= 1 << i
-            return bits
-
-        return compute
-
-    def _build_said(self, formula, present_only: bool) -> Callable[[], int]:
+    def _said(self, formula: Said | Says) -> int | None:
         principal = formula.principal
+        if not self._uniform_principal(principal):
+            return None
         message = formula.message
+        present_only = isinstance(formula, Says)
         said_entries = self.interpreter._said_entries
-
-        def compute() -> int:
-            bits = 0
-            for run in self.system.runs:
-                # First qualifying send time; every later point of the
-                # run satisfies the clause (sends never un-happen).
-                first: int | None = None
-                for sent_at, components in said_entries(principal, run):
-                    if present_only and sent_at <= 0:
-                        continue
-                    if message in components:
-                        if first is None or sent_at < first:
-                            first = sent_at
-                if first is None:
+        bits = 0
+        for run in self.system.runs:
+            # First qualifying send time; every later point of the run
+            # satisfies the clause (sends never un-happen).
+            first: int | None = None
+            for sent_at, components in said_entries(principal, run):
+                if present_only and sent_at <= 0:
                     continue
-                for k in run.times:
-                    if k >= first:
-                        bits |= 1 << self.point_index[(run.name, k)]
-            return bits
+                if message in components:
+                    if first is None or sent_at < first:
+                        first = sent_at
+            if first is None:
+                continue
+            for k in run.times:
+                if k >= first:
+                    bits |= 1 << self.point_index[(run.name, k)]
+        return bits
 
-        return compute
-
-    def _build_controls(self, formula: Controls) -> Callable[[], int]:
+    def _controls(self, formula: Controls) -> int | None:
         principal = formula.principal
+        if not self._uniform_principal(principal):
+            return None
         body_formula = formula.body
-        body = self._compile(body_formula)
+        body_bits = self._lookup(body_formula)
+        if body_bits is None:
+            return None
         said_entries = self.interpreter._said_entries
+        bits = 0
+        for run in self.system.runs:
+            ok = True
+            for k_prime in run.times:
+                if k_prime < 0:
+                    continue
+                says_here = any(
+                    sent_at > 0
+                    and sent_at <= k_prime
+                    and body_formula in components
+                    for sent_at, components in said_entries(principal, run)
+                )
+                if says_here and not (
+                    (body_bits >> self.point_index[(run.name, k_prime)]) & 1
+                ):
+                    ok = False
+                    break
+            if ok:
+                bits |= self._run_masks[run.name]
+        return bits
 
-        def compute() -> int:
-            body_bits = body()
-            bits = 0
-            for run in self.system.runs:
-                ok = True
-                for k_prime in run.times:
-                    if k_prime < 0:
-                        continue
-                    says_here = any(
-                        sent_at > 0
-                        and sent_at <= k_prime
-                        and body_formula in components
-                        for sent_at, components in said_entries(principal, run)
-                    )
-                    if says_here and not (
-                        (body_bits >> self.point_index[(run.name, k_prime)]) & 1
-                    ):
-                        ok = False
-                        break
-                if ok:
-                    bits |= self._run_masks[run.name]
-            return bits
-
-        return compute
-
-    def _build_fresh(self, formula: Fresh) -> Callable[[], int]:
+    def _fresh(self, formula: Fresh) -> int:
         message = formula.message
         past = self.interpreter._past_submsgs
+        bits = 0
+        for run in self.system.runs:
+            if message not in past(run):
+                bits |= self._run_masks[run.name]
+        return bits
 
-        def compute() -> int:
-            bits = 0
-            for run in self.system.runs:
-                if message not in past(run):
-                    bits |= self._run_masks[run.name]
-            return bits
-
-        return compute
-
-    def _build_has(self, formula: Has) -> Callable[[], int]:
+    def _has(self, formula: Has) -> int | None:
         principal = formula.principal
+        if not self._uniform_principal(principal):
+            return None
         key = formula.key
-        points = self.points
+        bits = 0
+        for i, (run, k) in enumerate(self.points):
+            if key in run.keyset(principal, k):
+                bits |= 1 << i
+        return bits
 
-        def compute() -> int:
-            bits = 0
-            for i, (run, k) in enumerate(points):
-                if key in run.keyset(principal, k):
-                    bits |= 1 << i
-            return bits
+    def _shared_key(self, formula: SharedKey) -> int | None:
+        if not (isinstance(formula.left, Principal)
+                and isinstance(formula.right, Principal)):
+            return None
+        key = formula.key
+        return self._goodness(
+            formula.left, formula.right,
+            lambda component: isinstance(component, Encrypted)
+            and component.key == key,
+        )
 
-        return compute
+    def _public_key_of(self, formula: PublicKeyOf) -> int | None:
+        if not (isinstance(formula.principal, Principal)
+                and isinstance(formula.key, PublicKey)):
+            return None
+        private = formula.key.partner
+        return self._goodness(
+            formula.principal, formula.principal,
+            lambda component: isinstance(component, Encrypted)
+            and component.key == private,
+        )
 
-    def _build_goodness(
-        self, left: Message, right: Message, matches
-    ) -> Callable[[], int]:
+    def _shared_secret(self, formula: SharedSecret) -> int | None:
+        if not (isinstance(formula.left, Principal)
+                and isinstance(formula.right, Principal)):
+            return None
+        secret = formula.secret
+        return self._goodness(
+            formula.left, formula.right,
+            lambda component: isinstance(component, Combined)
+            and component.secret == secret,
+        )
+
+    def _goodness(
+        self, left: Message, right: Message, matches: Callable[[Message], bool]
+    ) -> int:
         """Shared shape of the F5/F6/pk clauses: a run-level quantifier
         over every *other* principal's sends — any matching component
         said by a third party must have been seen (relayed, not made)."""
         said_entries = self.interpreter._said_entries
         seen_set = self.interpreter._seen_set
-
-        def compute() -> int:
-            bits = 0
-            for run in self.system.runs:
-                good = True
-                for principal in run.all_principals:
-                    if principal == left or principal == right:
-                        continue
-                    for sent_at, components in said_entries(principal, run):
-                        seen = None
-                        for component in components:
-                            if matches(component):
-                                if seen is None:
-                                    seen = seen_set(principal, run, sent_at)
-                                if component not in seen:
-                                    good = False
-                                    break
-                        if not good:
-                            break
+        bits = 0
+        for run in self.system.runs:
+            good = True
+            for principal in run.all_principals:
+                if principal == left or principal == right:
+                    continue
+                for sent_at, components in said_entries(principal, run):
+                    seen = None
+                    for component in components:
+                        if matches(component):
+                            if seen is None:
+                                seen = seen_set(principal, run, sent_at)
+                            if component not in seen:
+                                good = False
+                                break
                     if not good:
                         break
-                if good:
-                    bits |= self._run_masks[run.name]
-            return bits
-
-        return compute
+                if not good:
+                    break
+            if good:
+                bits |= self._run_masks[run.name]
+        return bits
 
     # -- belief ---------------------------------------------------------------
 
-    def _belief_groups_for(
-        self, principal: Principal
-    ) -> tuple[tuple[int, int], ...]:
+    def _belief_groups_for(self, principal: Principal) -> BeliefGroups:
         """(members, possible) bitset pairs, one per hidden-view class.
 
         ``members`` are the points of the *system* whose view under the
@@ -614,42 +553,57 @@ class CompiledSystem:
         self._belief_groups[principal] = groups
         return groups
 
-    def _build_believes(self, formula: Believes) -> Callable[[], int]:
+    def _believes(self, formula: Believes) -> int | None:
         principal = formula.principal
-        assert isinstance(principal, Principal)
-        body = self._compile(formula.body)
-
-        def compute() -> int:
-            body_bits = body()
-            bits = 0
-            for member_bits, possible_bits in self._belief_groups_for(principal):
-                # The belief check per view class: the compiled body
-                # holds on every set bit of the possibility set.
-                if possible_bits & body_bits == possible_bits:
-                    bits |= member_bits
-            return bits
-
-        return compute
+        if not self._uniform_principal(principal):
+            return None
+        body_bits = self._lookup(formula.body)
+        if body_bits is None:
+            return None
+        return self.belief_clause(self._belief_groups_for(principal), body_bits)
 
     # -- quantification -------------------------------------------------------
 
-    def _build_forall(self, formula: ForAll) -> Callable[[], int]:
-        constants = self.system.vocabulary.constants(formula.variable.value_sort)
-        expansions = tuple(
-            self._compile(substitute(formula.body, {formula.variable: constant}))
-            for constant in constants
-        )
-        full = self.full_mask
+    def _forall(self, formula: ForAll) -> int | None:
+        # Every expansion is computed, even past an all-zero prefix: one
+        # unsupported expansion makes the whole quantifier unsupported.
+        bits = self.full_mask
+        for constant in self.system.vocabulary.constants(
+            formula.variable.value_sort
+        ):
+            expansion = self._lookup(
+                substitute(formula.body, {formula.variable: constant})
+            )
+            if expansion is None:
+                return None
+            bits &= expansion
+        return bits
 
-        def compute() -> int:
-            bits = full
-            for expansion in expansions:
-                bits &= expansion()
-                if not bits:
-                    break
-            return bits
 
-        return compute
+#: One clause per formula class (read-only); a class not listed is left
+#: to the interpreter.
+_CLAUSES: Mapping[type, Callable[[CompiledSystem, Formula], int | None]] = (
+    MappingProxyType({
+        Truth: lambda compiled, _formula: compiled.full_mask,
+        Prim: CompiledSystem._prim,
+        Not: CompiledSystem._not,
+        And: CompiledSystem._and,
+        Or: CompiledSystem._or,
+        Implies: CompiledSystem._implies,
+        Iff: CompiledSystem._iff,
+        Sees: CompiledSystem._sees,
+        Said: CompiledSystem._said,
+        Says: CompiledSystem._said,
+        Controls: CompiledSystem._controls,
+        Fresh: CompiledSystem._fresh,
+        Has: CompiledSystem._has,
+        SharedKey: CompiledSystem._shared_key,
+        PublicKeyOf: CompiledSystem._public_key_of,
+        SharedSecret: CompiledSystem._shared_secret,
+        Believes: CompiledSystem._believes,
+        ForAll: CompiledSystem._forall,
+    })
+)
 
 
 def compiled_for(
@@ -672,8 +626,24 @@ def compiled_for(
     ``perf.clear_caches()`` / ``EngineContext.clear_session_caches()``
     empty the cache (the ``compiled_eval`` layer).
     """
+    return cached_compile(
+        CompiledSystem, (system.serial, goodruns, pattern_hide),
+        system, goodruns, pattern_hide,
+    )
+
+
+def cached_compile(
+    engine_class: type[CompiledSystem],
+    key: tuple,
+    system: System,
+    goodruns: GoodRunVector | None,
+    pattern_hide: bool,
+    **journal_fields,
+) -> CompiledSystem:
+    """Look ``key`` up in ``ctx.compiled_systems`` (identity-checked, as
+    :func:`compiled_for` describes), compiling and journaling a new
+    ``engine_class`` instance on a miss."""
     ctx = _context.current()
-    key = (system.serial, goodruns, pattern_hide)
     compiled = ctx.compiled_systems.get(key)
     if compiled is not None:
         if compiled.system is system:
@@ -681,12 +651,12 @@ def compiled_for(
             return compiled
         perf.count("compiled_eval.serial_collision")
     perf.count("compiled_eval.system_miss")
-    compiled = CompiledSystem(system, goodruns, pattern_hide=pattern_hide)
+    compiled = engine_class(system, goodruns, pattern_hide=pattern_hide)
     ctx.compiled_systems[key] = compiled
     from repro.obs import journal
 
     journal.record(
-        "compile", runs=len(system.runs),
+        "compile", **journal_fields, runs=len(system.runs),
         points=len(compiled.point_index),
         goodruns=goodruns is not None, pattern_hide=pattern_hide,
     )

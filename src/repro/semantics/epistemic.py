@@ -56,29 +56,32 @@ formula is a counterexample.
 interpreter and overrides only ``_believes`` (plus a second possibility
 index over *all* runs for the knowledge guard).
 :class:`CompiledEpistemicSystem` subclasses the bitset compiler and
-overrides only ``_build_believes``: the compiler's per-view-class
-``(members, possible)`` pairs already carry both sets — ``members`` is
-the knowledge set (under the compiler's uniform-principal support gate
-every member point is indistinguishable to P), ``possible`` is the
-good-run subset — so the guarded clause is *still one subset test per
-view class*, and the sweep's whole-system ``truth_bits`` fast path
-works for this backend unchanged.
+overrides only its belief clause,
+:meth:`~repro.semantics.compiler.CompiledSystem.belief_clause`: the
+compiler's per-view-class ``(members, possible)`` pairs already carry
+both sets — ``members`` is the knowledge set (under the compiler's
+uniform-principal gate every member point is indistinguishable to P),
+``possible`` is the good-run subset — so the guarded clause is *still
+one subset test per view class*, and the sweep's whole-system
+``truth_bits`` fast path works for this backend unchanged.
 """
 
 from __future__ import annotations
 
-from repro import context as _context
-from repro import perf
 from repro.errors import SemanticsError
 from repro.model.runs import Run
 from repro.model.system import Point, System
 from repro.semantics.backend import SemanticsBackend
-from repro.semantics.compiler import CompiledSystem
+from repro.semantics.compiler import (
+    BeliefGroups,
+    CompiledSystem,
+    cached_compile,
+)
 from repro.semantics.evaluator import Evaluator
 from repro.semantics.goodvectors import GoodRunVector
 from repro.semantics.hide import HiddenView
 from repro.terms.atoms import Principal
-from repro.terms.formulas import Believes, Formula
+from repro.terms.formulas import Formula
 
 
 class EpistemicEvaluator(Evaluator):
@@ -172,51 +175,24 @@ class CompiledEpistemicSystem(CompiledSystem):
     sweep's fast path (``isinstance(engine, CompiledSystem)`` →
     ``truth_bits`` against ``full_mask``) applies to this backend
     without a special case, which is what keeps ``--backend epistemic``
-    sweeps at bitset speed.
-
-    Only the belief builder and the interpreter hooks differ.  The
-    per-view-class ``(members, possible)`` pairs computed by the base
-    class already contain both sets the guarded clause needs: under the
-    ``_supported`` uniform-principal gate, ``members`` is exactly the
-    principal's knowledge set for that view class, and ``possible`` its
-    good-run (α) subset.
+    sweeps at bitset speed.  Only the belief clause and the interpreter
+    (fallback and tracing) differ.
     """
 
-    @property
-    def interpreter(self) -> EpistemicEvaluator:
-        """The fallback interpreter — the *epistemic* one, so unsupported
-        shapes and foreign points keep this backend's semantics."""
-        if self._interpreter is None:
-            self._interpreter = EpistemicEvaluator(
-                self.system, self.goodruns, pattern_hide=self.pattern_hide
-            )
-        return self._interpreter
+    interpreter_class = EpistemicEvaluator
 
-    def evaluate_traced(self, formula: Formula, run: Run, k: int, tracer) -> bool:
-        traced = EpistemicEvaluator(
-            self.system, self.goodruns,
-            pattern_hide=self.pattern_hide, tracer=tracer,
-        )
-        return traced.evaluate(formula, run, k)
-
-    def _build_believes(self, formula: Believes):
-        principal = formula.principal
-        assert isinstance(principal, Principal)
-        body = self._compile(formula.body)
-
-        def compute() -> int:
-            body_bits = body()
-            bits = 0
-            for member_bits, possible_bits in self._belief_groups_for(principal):
-                # Non-empty α-subset: K_P(α ⊃ φ), identical to belief.
-                # Empty: the guard K_P¬α ⊃ K_Pφ bites — subset-test the
-                # whole view class (the knowledge set) instead.
-                target = possible_bits if possible_bits else member_bits
-                if target & body_bits == target:
-                    bits |= member_bits
-            return bits
-
-        return compute
+    def belief_clause(self, groups: BeliefGroups, body_bits: int) -> int:
+        """``members`` of a view class is P's knowledge set, ``possible``
+        its good-run (α) subset."""
+        bits = 0
+        for members, possible in groups:
+            # Non-empty α-subset: K_P(α ⊃ φ), identical to belief.
+            # Empty: the guard K_P¬α ⊃ K_Pφ bites — subset-test the
+            # whole view class (the knowledge set) instead.
+            target = possible or members
+            if target & body_bits == target:
+                bits |= members
+        return bits
 
 
 class EpistemicBackend(SemanticsBackend):
@@ -272,22 +248,8 @@ def compiled_epistemic_for(
     with an identity check against cross-process serial recurrence —
     with the backend name folded into the key.
     """
-    ctx = _context.current()
-    key = (system.serial, goodruns, pattern_hide, EpistemicBackend.name)
-    compiled = ctx.compiled_systems.get(key)
-    if compiled is not None:
-        if compiled.system is system:
-            perf.count("compiled_eval.system_hit")
-            return compiled
-        perf.count("compiled_eval.serial_collision")
-    perf.count("compiled_eval.system_miss")
-    compiled = CompiledEpistemicSystem(system, goodruns, pattern_hide=pattern_hide)
-    ctx.compiled_systems[key] = compiled
-    from repro.obs import journal
-
-    journal.record(
-        "compile", backend=EpistemicBackend.name, runs=len(system.runs),
-        points=len(compiled.point_index),
-        goodruns=goodruns is not None, pattern_hide=pattern_hide,
+    return cached_compile(
+        CompiledEpistemicSystem,
+        (system.serial, goodruns, pattern_hide, EpistemicBackend.name),
+        system, goodruns, pattern_hide, backend=EpistemicBackend.name,
     )
-    return compiled

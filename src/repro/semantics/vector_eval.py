@@ -34,7 +34,7 @@ second semantics: a formula the compiled engine cannot handle
 (non-uniform principals, parameters, unknown shapes) yields ``None``
 and the caller falls back to the interpreter with the actual vector.
 The algebra above is exactly
-:meth:`CompiledSystem._build_believes` with the possibility mask made a
+:meth:`CompiledSystem.belief_clause` with the possibility mask made a
 parameter, so verdicts are byte-identical by construction; the
 ``goodruns_construction`` fuzz family holds the fast and slow paths
 together across campaigns.
@@ -179,7 +179,7 @@ class VectorTruth:
         if deps is None:
             return False
         if not deps:
-            return formula in self.compiled._nodes
+            return self.compiled._bits.get(formula) is not None
         return self._signature(formula, deps, vector) in self._bits
 
     def truth_bits(

@@ -183,23 +183,26 @@ class AnalysisDaemon:
         # specs resolve to the *same* objects — the serial-keyed compiled
         # cache only shares work for identical System instances.
         self._model_lock = threading.Lock()
-        self._systems: dict[tuple, Any] = {}
+        self._systems: dict[Any, Any] = {}
         self._reports: dict[tuple, Any] = {}
 
     # -- model providers -------------------------------------------------------
 
     def _system_for(self, request: req_mod.AnalysisRequest):
-        key = request.system_key
+        from repro.soundness.generators import GeneratorConfig, generate_system
+
+        # Keyed on the generator config alone, not the batch key: every
+        # backend reads the same model (their compiled caches are
+        # already separate).
+        key = GeneratorConfig(
+            seed=request.seed, runs=request.runs,
+            steps_per_run=request.steps, principals=request.principals,
+        )
         with self._model_lock:
             cached = self._systems.get(key)
         if cached is not None:
             return cached
-        from repro.soundness.generators import GeneratorConfig, generate_system
-
-        system = generate_system(GeneratorConfig(
-            seed=request.seed, runs=request.runs,
-            steps_per_run=request.steps, principals=request.principals,
-        ))
+        system = generate_system(key)
         with self._model_lock:
             if len(self._systems) >= self.config.system_cache_size:
                 self._systems.pop(next(iter(self._systems)))

@@ -165,6 +165,17 @@ class RandomRunGenerator:
             views = self._sorted_keysets[held_set] = (held, private)
         return views
 
+    def _in_order(self, received: frozenset) -> list:
+        """``received`` sorted by printed form, so draws from it do not
+        depend on a frozenset's iteration order (which follows term
+        hashes, and those differ between processes)."""
+        ordered = self._sorted_received.get(received)
+        if ordered is None:
+            ordered = self._sorted_received[received] = sorted(
+                received, key=str
+            )
+        return ordered
+
     def _build_message(
         self, builder: RunBuilder, sender: Principal, depth: int
     ) -> Message:
@@ -182,7 +193,7 @@ class RandomRunGenerator:
         if depth <= 1 or rng.random() < 0.4:
             received = builder.received(sender)
             if received and rng.random() < 0.3:
-                return rng.choice(list(received))
+                return rng.choice(self._in_order(received))
             return rng.choice(atoms)
         kind = rng.choice(_MESSAGE_KINDS)
         if kind == "group":
@@ -223,12 +234,7 @@ class RandomRunGenerator:
             )
             return combined(body, secret, from_field)
         if kind == "forward":
-            received = builder.received(sender)
-            seen = self._sorted_received.get(received)
-            if seen is None:
-                seen = self._sorted_received[received] = sorted(
-                    received, key=str
-                )
+            seen = self._in_order(builder.received(sender))
             if seen:
                 return forwarded(rng.choice(seen))
             if sender == builder.environment:

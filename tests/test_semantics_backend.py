@@ -240,11 +240,8 @@ class TestEpistemicEngine:
 class _AlwaysBelievesSystem(CompiledEpistemicSystem):
     """The planted bug: a Believes clause that is true everywhere."""
 
-    def _build_believes(self, formula):
-        def compute() -> int:
-            return self.full_mask
-
-        return compute
+    def belief_clause(self, groups, body_bits):
+        return self.full_mask
 
 
 class _BuggyEpistemicBackend(EpistemicBackend):

@@ -11,10 +11,14 @@ Three angles on the compiled-vs-interpreted contract:
   two-run system;
 * the explanation tracer produces byte-identical output under both
   engines on the golden why-false belief tree.
+
+A last test pins the allocation property the compiled sweep's speed
+rests on: the memo retains ints, not per-subformula closures.
 """
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -115,23 +119,16 @@ class TestOracleCatchesPlantedBugs:
         belief = Believes(principal, Prim(system.vocabulary.proposition("p0")))
         points = tuple(system.points())[:4]
 
-        def buggy(self, formula):
-            who = formula.principal
-            body = self._compile(formula.body)
+        def buggy(self, groups, body_bits):
+            bits = 0
+            for member_bits, possible_bits in groups:
+                if possible_bits and (
+                    possible_bits & body_bits == possible_bits
+                ):
+                    bits |= member_bits
+            return bits
 
-            def compute():
-                body_bits = body()
-                bits = 0
-                for member_bits, possible_bits in self._belief_groups_for(who):
-                    if possible_bits and (
-                        possible_bits & body_bits == possible_bits
-                    ):
-                        bits |= member_bits
-                return bits
-
-            return compute
-
-        monkeypatch.setattr(CompiledSystem, "_build_believes", buggy)
+        monkeypatch.setattr(CompiledSystem, "belief_clause", buggy)
         # Drop any honestly-compiled (memoized) nodes for this system.
         _context.current().compiled_systems.clear()
         failures = check_compiled_differential(
@@ -397,3 +394,39 @@ class TestCompiledCacheKeying:
         # dataclass pickling restores fields without __post_init__, so
         # a shipped system collides with its origin's serial space.
         assert revived.serial == system.serial
+
+
+# ---------------------------------------------------------------------------
+# Allocation: the memo retains ints, not per-subformula closures
+# ---------------------------------------------------------------------------
+
+
+class TestRetainedObjects:
+    def test_sweep_retains_no_functions_or_cells_per_subformula(self):
+        """A compiled sweep keeps one int (or ``None``) per memoized
+        subformula.  Live ``function``/``cell`` counts must grow by a
+        small constant, however many subformulas were compiled — a GC
+        heap that grew with them would be walked by every full
+        collection."""
+        from collections import Counter
+
+        from repro.soundness import sweep_system
+
+        def live() -> Counter:
+            gc.collect()
+            return Counter(type(o).__name__ for o in gc.get_objects())
+
+        warm = generate_system(GeneratorConfig(seed=3, runs=2, steps_per_run=8))
+        swept = generate_system(GeneratorConfig(seed=4, runs=3, steps_per_run=14))
+        with _context.use(_context.fresh("retained-objects")):
+            # Warm imports and module-level caches first.
+            sweep_system(warm, max_instances_per_schema=5)
+            before = live()
+            report = sweep_system(swept)
+            after = live()
+            compiled = compiled_for(swept)
+            memoized = compiled.cache_stats()["bitsets"]
+        assert report.total_instances > 1000
+        assert memoized > 1000
+        for kind in ("function", "cell"):
+            assert after[kind] - before[kind] <= 50, (kind, memoized)

@@ -313,6 +313,33 @@ class TestBackends:
             assert body["backends"] == ["belief", "epistemic"]
             assert body["default_backend"] == "belief"
 
+    def test_backends_share_one_generated_system(self, monkeypatch):
+        """The model cache keys on the generator config, not the batch
+        key: a belief and an epistemic request for one spec generate the
+        system once."""
+        from repro.soundness import generators
+
+        calls = []
+        honest = generators.generate_system
+
+        def counting(config=None):
+            calls.append(config)
+            return honest(config)
+
+        monkeypatch.setattr(generators, "generate_system", counting)
+
+        @_serve_test(ServeConfig())
+        async def daemon(daemon, host, port):
+            for backend in ("belief", "epistemic", "belief"):
+                status, body = await _post(
+                    dict(SMALL_SYSTEM, backend=backend), host, port)
+                assert status == 200, body
+            status, stats = await _get("/stats", host, port)
+            assert status == 200
+            assert stats["cached_systems"] == 1
+
+        assert len(calls) == 1
+
     def test_backend_is_part_of_the_batch_key(self):
         """Same generated system under different backends must not share
         warm compiled state: the batch key includes the backend name."""

@@ -1,5 +1,9 @@
 """Tests for the soundness harness: generators, sweep, incompleteness, audit."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.logic import paper_schemas, schema
@@ -30,6 +34,34 @@ class TestGenerators:
         a = generate_system(GeneratorConfig(seed=3))
         b = generate_system(GeneratorConfig(seed=3))
         assert a.runs == b.runs
+
+    def test_generation_is_deterministic_across_processes(self):
+        """A config fixes the system in every process: term hashes (and
+        so frozenset orders) differ between interpreters, and must not
+        steer the generator's draws."""
+        script = (
+            "from repro.soundness import GeneratorConfig, generate_system\n"
+            "for seed in range(4):\n"
+            "    system = generate_system(GeneratorConfig(seed=seed, runs=4,"
+            " steps_per_run=40))\n"
+            "    prop = system.vocabulary.proposition('p0')\n"
+            "    for run in system.runs:\n"
+            "        print(run.name, system.interpretation.holds(prop, run, 0))\n"
+            "        for who, action in run.state(run.end_time).env.history:\n"
+            "            print(who, action)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script], check=True,
+                capture_output=True, text=True, timeout=60,
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert outputs[0].count("\n") > 400
+        assert outputs[0] == outputs[1]
 
     def test_different_seeds_differ(self):
         a = generate_system(GeneratorConfig(seed=1))
