@@ -14,16 +14,26 @@ module computes that map per ``(system, goodruns, pattern_hide)`` as
   bit ``i`` is the verdict at point ``i``.
 * Connectives become direct bitwise ops on those ints (``&``, ``|``,
   ``^``) — no per-point re-dispatch, no per-point memo lookups.
-* ``Sees``/``Said``/``Says``/``Fresh`` and the key-goodness clauses
-  read the interpreter's precomputed ``_seen_set``/``_said_entries``/
-  ``_past_submsgs`` tables and return their truth vector in one pass
-  over the points.
-* ``Believes`` precomputes the principal's possibility index: points
-  are grouped by hidden view, every view class is a bitset, and the
-  belief check collapses to one subset test per class
-  (``class & body == class``) — the per-(formula, viewclass) sharing
-  the interpreter's per-point loop could never amortize.  The clause
-  itself is the backend seam, :meth:`CompiledSystem.belief_clause`.
+* ``P sees X``, ``P has K`` and P's hidden view depend on P's local
+  state alone (Sections 5-6), so each principal gets **point-class
+  tables**, built once on first use: its points grouped by local-state
+  object, then by equal key set, equal seen set and equal hidden view.
+  ``Sees``/``Has`` run one membership test per class and OR the masks
+  of the classes that pass — no per-point work.  Nothing assumes the
+  sets grow with time: a principal that drops a key simply lands in a
+  different class.
+* ``Said``/``Says`` are one lookup in a per-principal table mapping
+  every component the principal ever said to its points; ``P controls
+  φ`` is derived from the ``P says φ`` bitset (a run satisfies it iff
+  ``says & ~φ`` has no bit in the run).  ``Fresh`` and the key-goodness
+  clauses are run-level facts; the latter read a per-run table of who
+  *made* (said without having seen) each ciphertext or combination.
+* ``Believes`` reads the hidden-view classes: every view class is a
+  ``(members, possible)`` bitset pair, and the belief check collapses
+  to one subset test per class (``possible & body == possible``) — the
+  per-(formula, viewclass) sharing the interpreter's per-point loop
+  could never amortize.  The clause itself is the backend seam,
+  :meth:`CompiledSystem.belief_clause`.
 * ``ForAll`` expands over the vocabulary.
 
 One recursive walk fills the memo: each ground subformula's bitset is
@@ -94,6 +104,11 @@ from repro.terms.ops import free_parameters, is_ground, substitute
 #: one per hidden-view class.
 BeliefGroups = tuple[tuple[int, int], ...]
 
+#: Point classes of one principal: ``(value, mask)`` pairs, one per
+#: distinct value (a key set, a seen set, a hidden view), where ``mask``
+#: holds every point at which the principal's state has that value.
+PointClasses = tuple[tuple[object, int], ...]
+
 #: Memo sentinel: distinguishes "absent" from "cached as uncompilable".
 _MISSING = object()
 
@@ -155,10 +170,24 @@ class CompiledSystem:
         #: Truth bitsets keyed by (interned) ground formula; ``None``
         #: marks a formula the compiled path cannot answer faithfully.
         self._bits: dict[Formula, int | None] = {}
+        #: Memo hits and misses of the walk in progress (see
+        #: :meth:`_flush_counts`).
+        self._hits = 0
+        self._misses = 0
         #: Principal uniformity (state in every run), keyed by principal.
         self._uniform: dict[Principal, bool] = {}
+        #: Point-class tables per (kind, principal): ``"state"`` holds a
+        #: representative point per local-state object, ``"keys"``,
+        #: ``"seen"`` and ``"views"`` merge those by equal value.
+        self._classes: dict[tuple[str, Principal], PointClasses] = {}
         #: Belief groups per principal, one entry per hidden-view class.
         self._belief_groups: dict[Principal, BeliefGroups] = {}
+        #: ``(said, says)`` masks per principal (see :meth:`_said_masks`).
+        self._said_tables: dict[
+            Principal, tuple[dict[Message, int], dict[Message, int]]
+        ] = {}
+        #: Component makers per run name (see :meth:`_makers`).
+        self._run_makers: dict[str, dict[tuple, set[Principal]]] = {}
         self._interpreter: Evaluator | None = None
 
     # -- public API -----------------------------------------------------------
@@ -236,7 +265,10 @@ class CompiledSystem:
         """
         bits = self._bits.get(formula, _MISSING)
         if bits is _MISSING:
-            bits = self._compute(formula)
+            try:
+                bits = self._compute(formula)
+            finally:
+                self._flush_counts()
             if bits is None:
                 # Journal only the *first* verdict per formula shape:
                 # the flight recorder wants "this shape fell back", not
@@ -264,7 +296,10 @@ class CompiledSystem:
 
     def can_compile(self, formula: Formula) -> bool:
         """Whether :meth:`truth_bits` can answer for this formula."""
-        return self._lookup(formula) is not None
+        try:
+            return self._lookup(formula) is not None
+        finally:
+            self._flush_counts()
 
     def uniform_principal(self, term: Message) -> bool:
         """Whether ``term`` is a principal with state in every run."""
@@ -302,7 +337,7 @@ class CompiledSystem:
         if bits is _MISSING:
             return self._compute(formula)
         if bits is not None:
-            perf.count("compiled_eval.hit")
+            self._hits += 1
         return bits
 
     def _compute(self, formula: Formula) -> int | None:
@@ -312,8 +347,18 @@ class CompiledSystem:
         bits = None if clause is None else clause(self, formula)
         self._bits[formula] = bits
         if bits is not None:
-            perf.count("compiled_eval.miss")
+            self._misses += 1
         return bits
+
+    def _flush_counts(self) -> None:
+        """Move the memo hits and misses of one recursive walk into the
+        ``compiled_eval`` counters (one update per walk, not per node)."""
+        if self._hits:
+            perf.count("compiled_eval.hit", self._hits)
+            self._hits = 0
+        if self._misses:
+            perf.count("compiled_eval.miss", self._misses)
+            self._misses = 0
 
     def _uniform_principal(self, term: Message) -> bool:
         """True iff ``term`` is a principal with local state in every run
@@ -335,30 +380,33 @@ class CompiledSystem:
         body = self._lookup(formula.body)
         return None if body is None else self.full_mask ^ body
 
-    def _pair(self, left: Formula, right: Formula) -> tuple[int, int] | None:
-        left_bits = self._lookup(left)
-        if left_bits is None:
-            return None
-        right_bits = self._lookup(right)
-        if right_bits is None:
-            return None
-        return left_bits, right_bits
-
     def _and(self, formula: And) -> int | None:
-        pair = self._pair(formula.left, formula.right)
-        return None if pair is None else pair[0] & pair[1]
+        left = self._lookup(formula.left)
+        if left is None:
+            return None
+        right = self._lookup(formula.right)
+        return None if right is None else left & right
 
     def _or(self, formula: Or) -> int | None:
-        pair = self._pair(formula.left, formula.right)
-        return None if pair is None else pair[0] | pair[1]
+        left = self._lookup(formula.left)
+        if left is None:
+            return None
+        right = self._lookup(formula.right)
+        return None if right is None else left | right
 
     def _implies(self, formula: Implies) -> int | None:
-        pair = self._pair(formula.antecedent, formula.consequent)
-        return None if pair is None else (self.full_mask ^ pair[0]) | pair[1]
+        left = self._lookup(formula.antecedent)
+        if left is None:
+            return None
+        right = self._lookup(formula.consequent)
+        return None if right is None else (self.full_mask ^ left) | right
 
     def _iff(self, formula: Iff) -> int | None:
-        pair = self._pair(formula.left, formula.right)
-        return None if pair is None else self.full_mask ^ (pair[0] ^ pair[1])
+        left = self._lookup(formula.left)
+        if left is None:
+            return None
+        right = self._lookup(formula.right)
+        return None if right is None else self.full_mask ^ (left ^ right)
 
     # -- leaf clauses ---------------------------------------------------------
 
@@ -376,66 +424,37 @@ class CompiledSystem:
         if not self._uniform_principal(principal):
             return None
         message = formula.message
-        seen_set = self.interpreter._seen_set
         bits = 0
-        for i, (run, k) in enumerate(self.points):
-            if message in seen_set(principal, run, k):
-                bits |= 1 << i
+        for seen, mask in self._seen_classes(principal):
+            if message in seen:
+                bits |= mask
         return bits
 
     def _said(self, formula: Said | Says) -> int | None:
         principal = formula.principal
         if not self._uniform_principal(principal):
             return None
-        message = formula.message
-        present_only = isinstance(formula, Says)
-        said_entries = self.interpreter._said_entries
-        bits = 0
-        for run in self.system.runs:
-            # First qualifying send time; every later point of the run
-            # satisfies the clause (sends never un-happen).
-            first: int | None = None
-            for sent_at, components in said_entries(principal, run):
-                if present_only and sent_at <= 0:
-                    continue
-                if message in components:
-                    if first is None or sent_at < first:
-                        first = sent_at
-            if first is None:
-                continue
-            for k in run.times:
-                if k >= first:
-                    bits |= 1 << self.point_index[(run.name, k)]
-        return bits
+        said, says = self._said_masks(principal)
+        table = says if isinstance(formula, Says) else said
+        return table.get(formula.message, 0)
 
     def _controls(self, formula: Controls) -> int | None:
+        """A run satisfies ``P controls φ`` iff no point of it has
+        ``P says φ`` without φ.  ``Says`` bits are zero before the first
+        send in the epoch, so testing every point of the run is testing
+        every ``k' >= 0``, as the interpreter does."""
         principal = formula.principal
         if not self._uniform_principal(principal):
             return None
-        body_formula = formula.body
-        body_bits = self._lookup(body_formula)
+        body_bits = self._lookup(formula.body)
         if body_bits is None:
             return None
-        said_entries = self.interpreter._said_entries
+        says_bits = self._lookup(Says(principal, formula.body))
+        unjustified = says_bits & ~body_bits
         bits = 0
-        for run in self.system.runs:
-            ok = True
-            for k_prime in run.times:
-                if k_prime < 0:
-                    continue
-                says_here = any(
-                    sent_at > 0
-                    and sent_at <= k_prime
-                    and body_formula in components
-                    for sent_at, components in said_entries(principal, run)
-                )
-                if says_here and not (
-                    (body_bits >> self.point_index[(run.name, k_prime)]) & 1
-                ):
-                    ok = False
-                    break
-            if ok:
-                bits |= self._run_masks[run.name]
+        for mask in self._run_masks.values():
+            if not unjustified & mask:
+                bits |= mask
         return bits
 
     def _fresh(self, formula: Fresh) -> int:
@@ -453,74 +472,156 @@ class CompiledSystem:
             return None
         key = formula.key
         bits = 0
-        for i, (run, k) in enumerate(self.points):
-            if key in run.keyset(principal, k):
-                bits |= 1 << i
+        for keys, mask in self._key_classes(principal):
+            if key in keys:
+                bits |= mask
         return bits
 
     def _shared_key(self, formula: SharedKey) -> int | None:
         if not (isinstance(formula.left, Principal)
                 and isinstance(formula.right, Principal)):
             return None
-        key = formula.key
         return self._goodness(
-            formula.left, formula.right,
-            lambda component: isinstance(component, Encrypted)
-            and component.key == key,
+            formula.left, formula.right, (Encrypted, formula.key)
         )
 
     def _public_key_of(self, formula: PublicKeyOf) -> int | None:
         if not (isinstance(formula.principal, Principal)
                 and isinstance(formula.key, PublicKey)):
             return None
-        private = formula.key.partner
         return self._goodness(
             formula.principal, formula.principal,
-            lambda component: isinstance(component, Encrypted)
-            and component.key == private,
+            (Encrypted, formula.key.partner),
         )
 
     def _shared_secret(self, formula: SharedSecret) -> int | None:
         if not (isinstance(formula.left, Principal)
                 and isinstance(formula.right, Principal)):
             return None
-        secret = formula.secret
         return self._goodness(
-            formula.left, formula.right,
-            lambda component: isinstance(component, Combined)
-            and component.secret == secret,
+            formula.left, formula.right, (Combined, formula.secret)
         )
 
-    def _goodness(
-        self, left: Message, right: Message, matches: Callable[[Message], bool]
-    ) -> int:
+    def _goodness(self, left: Message, right: Message, tag: tuple) -> int:
         """Shared shape of the F5/F6/pk clauses: a run-level quantifier
         over every *other* principal's sends — any matching component
         said by a third party must have been seen (relayed, not made)."""
-        said_entries = self.interpreter._said_entries
-        seen_set = self.interpreter._seen_set
         bits = 0
         for run in self.system.runs:
-            good = True
+            makers = self._makers(run).get(tag, ())
+            if all(maker == left or maker == right for maker in makers):
+                bits |= self._run_masks[run.name]
+        return bits
+
+    # -- per-principal and per-run tables -------------------------------------
+
+    def _said_masks(
+        self, principal: Principal
+    ) -> tuple[dict[Message, int], dict[Message, int]]:
+        """``(said, says)``: for every component the principal ever said,
+        the points at which ``P said X`` (resp. ``P says X``) holds — each
+        send holds from its time to the end of its run, and ``says``
+        counts only sends after time 0."""
+        cached = self._said_tables.get(principal)
+        if cached is None:
+            said: dict[Message, int] = {}
+            says: dict[Message, int] = {}
+            said_entries = self.interpreter._said_entries
+            for run in self.system.runs:
+                run_mask = self._run_masks[run.name]
+                for sent_at, components in said_entries(principal, run):
+                    first = self.point_index[(run.name, sent_at)]
+                    later = run_mask >> first << first
+                    for component in components:
+                        said[component] = said.get(component, 0) | later
+                        if sent_at > 0:
+                            says[component] = says.get(component, 0) | later
+            cached = (said, says)
+            self._said_tables[principal] = cached
+        return cached
+
+    def _makers(self, run: Run) -> dict[tuple, set[Principal]]:
+        """Who *made* a component in one run — said it without having
+        seen it — keyed ``(Encrypted, key)`` for ciphertexts and
+        ``(Combined, secret)`` for combinations."""
+        cached = self._run_makers.get(run.name)
+        if cached is None:
+            said_entries = self.interpreter._said_entries
+            seen_set = self.interpreter._seen_set
+            cached = {}
             for principal in run.all_principals:
-                if principal == left or principal == right:
-                    continue
                 for sent_at, components in said_entries(principal, run):
                     seen = None
                     for component in components:
-                        if matches(component):
-                            if seen is None:
-                                seen = seen_set(principal, run, sent_at)
-                            if component not in seen:
-                                good = False
-                                break
-                    if not good:
-                        break
-                if not good:
-                    break
-            if good:
-                bits |= self._run_masks[run.name]
-        return bits
+                        if isinstance(component, Encrypted):
+                            tag = (Encrypted, component.key)
+                        elif isinstance(component, Combined):
+                            tag = (Combined, component.secret)
+                        else:
+                            continue
+                        if seen is None:
+                            seen = seen_set(principal, run, sent_at)
+                        if component not in seen:
+                            cached.setdefault(tag, set()).add(principal)
+            self._run_makers[run.name] = cached
+        return cached
+
+    # -- point classes --------------------------------------------------------
+
+    def _state_classes(self, principal: Principal) -> PointClasses:
+        """The principal's points grouped by local-state object: one
+        ``(representative point, mask)`` pair per distinct state.
+
+        A key set, a seen set and a hidden view are functions of the
+        principal's local state alone (the environment's state, in a run
+        where the principal is the environment), so one representative
+        decides every member.  Grouping is by identity: an idle
+        principal carries one state object from step to step, and equal
+        states held as distinct objects cost a duplicate class, never a
+        wrong bit.
+        """
+        cached = self._classes.get(("state", principal))
+        if cached is None:
+            classes: dict[int, list] = {}
+            i = 0
+            for run in self.system.runs:
+                environment = principal == run.environment
+                for k, state in zip(run.times, run.states):
+                    local = state.env if environment else state.local(principal)
+                    entry = classes.get(id(local))
+                    if entry is None:
+                        classes[id(local)] = [(run, k), 1 << i]
+                    else:
+                        entry[1] |= 1 << i
+                    i += 1
+            cached = tuple((point, mask) for point, mask in classes.values())
+            self._classes[("state", principal)] = cached
+        return cached
+
+    def _classes_by(
+        self,
+        kind: str,
+        principal: Principal,
+        value_of: Callable[[Principal, Run, int], object],
+    ) -> PointClasses:
+        """Merge the principal's state classes by equal ``value_of``."""
+        cached = self._classes.get((kind, principal))
+        if cached is None:
+            masks: dict[object, int] = {}
+            for (run, k), mask in self._state_classes(principal):
+                value = value_of(principal, run, k)
+                masks[value] = masks.get(value, 0) | mask
+            cached = tuple(masks.items())
+            self._classes[(kind, principal)] = cached
+        return cached
+
+    def _key_classes(self, principal: Principal) -> PointClasses:
+        """``(key set, mask)`` pairs of the principal."""
+        return self._classes_by("keys", principal, _keyset)
+
+    def _seen_classes(self, principal: Principal) -> PointClasses:
+        """``(seen set, mask)`` pairs of the principal."""
+        return self._classes_by("seen", principal, self.interpreter._seen_set)
 
     # -- belief ---------------------------------------------------------------
 
@@ -536,20 +637,17 @@ class CompiledSystem:
         cached = self._belief_groups.get(principal)
         if cached is not None:
             return cached
-        view_of = self.interpreter._hidden_view
         good = self.goodruns.good_runs(principal)
-        members: dict[tuple, int] = {}
-        possible: dict[tuple, int] = {}
-        for i, (run, k) in enumerate(self.points):
-            view = view_of(principal, run, k)
-            members[view] = members.get(view, 0) | (1 << i)
-            if good is not None and run.name not in good:
-                continue
-            possible[view] = possible.get(view, 0) | (1 << i)
-        groups = tuple(
-            (member_bits, possible.get(view, 0))
-            for view, member_bits in members.items()
+        if good is None:
+            good_mask = self.full_mask
+        else:
+            good_mask = 0
+            for name in good:
+                good_mask |= self._run_masks.get(name, 0)
+        views = self._classes_by(
+            "views", principal, self.interpreter._hidden_view
         )
+        groups = tuple((members, members & good_mask) for _view, members in views)
         self._belief_groups[principal] = groups
         return groups
 
@@ -604,6 +702,10 @@ _CLAUSES: Mapping[type, Callable[[CompiledSystem, Formula], int | None]] = (
         ForAll: CompiledSystem._forall,
     })
 )
+
+
+def _keyset(principal: Principal, run: Run, k: int) -> frozenset:
+    return run.keyset(principal, k)
 
 
 def compiled_for(

@@ -300,7 +300,15 @@ class Evaluator:
         cached = self._said.get(key)
         if cached is None:
             entries = []
-            for k in run.times:
+            environment = principal == run.environment
+            previous = None
+            for k, state in zip(run.times, run.states):
+                local = state.env if environment else state.local_map.get(principal)
+                if local is not None and local is previous:
+                    # Same state object as one step earlier: nothing
+                    # was performed at k.
+                    continue
+                previous = local
                 sends = run.sends_performed_at(principal, k)
                 if not sends:
                     continue

@@ -274,6 +274,7 @@ def _execute_protocol(request: AnalysisRequest, report_for) -> dict[str, Any]:
 
 def _execute_system(request: AnalysisRequest, system_for) -> dict[str, Any]:
     from repro.semantics.backend import get_backend
+    from repro.terms.ops import is_ground
     from repro.terms.parser import parse_formula
 
     backend = get_backend(request.backend)  # EngineError -> 400
@@ -299,10 +300,20 @@ def _execute_system(request: AnalysisRequest, system_for) -> dict[str, Any]:
         document["verdict"] = verdict
         failing = [] if verdict else [(run, k)]
     else:
-        failing = [
-            (run, k) for run, k in points
-            if not compiled.evaluate(formula, run, k)
-        ]
+        # One whole-system bitset when the formula compiles; the
+        # per-point loop only for what the compiled engine leaves to the
+        # interpreter (and for parameters, which resolve per run).
+        bits = compiled.truth_bits(formula) if is_ground(formula) else None
+        if bits is None:
+            failing = [
+                (run, k) for run, k in points
+                if not compiled.evaluate(formula, run, k)
+            ]
+        else:
+            failing = [
+                point for i, point in enumerate(compiled.points)
+                if not (bits >> i) & 1
+            ]
         document["verdict"] = not failing
         document["failures"] = len(failing)
         document["failing_points"] = [

@@ -79,22 +79,31 @@ class InternMeta(type):
         table = ctx.intern_table
         counters = ctx.counters
         key = None
-        if not kwargs and len(args) == len(_field_names(cls)):
+        names = _FIELD_NAMES.get(cls)
+        if names is None:
+            names = _field_names(cls)
+        if not kwargs and len(args) == len(names):
             # All fields given positionally: the structural key is just
             # the argument tuple (no __post_init__ rewrites fields), so
             # a hit can skip constructing-and-discarding a candidate.
+            # The hit reads the weak table's underlying dict of
+            # references directly: ``WeakValueDictionary.get`` costs a
+            # Python frame per lookup, and a dead reference reads as a
+            # miss exactly as it would there.
             key = (cls, *args)
             try:
-                canonical = table.get(key)
+                ref = table.data.get(key)
             except TypeError:  # unhashable argument: take the slow path
                 key = None
             else:
-                if canonical is not None:
-                    counters["intern.hit"] = counters.get("intern.hit", 0) + 1
-                    return canonical
+                if ref is not None:
+                    canonical = ref()
+                    if canonical is not None:
+                        counters["intern.hit"] = counters.get("intern.hit", 0) + 1
+                        return canonical
         obj = super().__call__(*args, **kwargs)
         if key is None:
-            key = (cls, *(getattr(obj, name) for name in _field_names(cls)))
+            key = (cls, *(getattr(obj, name) for name in names))
             canonical = table.get(key)
             if canonical is not None:
                 counters["intern.hit"] = counters.get("intern.hit", 0) + 1

@@ -30,6 +30,14 @@ and (messages)::
               | "'" message "'"
 
 Identifiers resolve through a :class:`~repro.terms.vocabulary.Vocabulary`.
+
+Two guards keep hostile input cheap.  Nesting deeper than
+:data:`MAX_NESTING` levels (parentheses, ``believes`` chains, nested
+ciphertexts, ...) is a :class:`~repro.errors.ParseError`, raised well
+before the interpreter's recursion limit.  And every ``parse_message``
+result (or failure) is memoized by start position: the formula-first,
+term-second backtracking would otherwise re-parse each nested message
+twice per level, exponential in the nesting depth.
 """
 
 from __future__ import annotations
@@ -66,6 +74,11 @@ from repro.terms.vocabulary import Vocabulary
 
 _SYMBOLS = ("<->", "->", "<-", "(", ")", "{", "}", ",", "~", "&", "|", "_",
             "'", ".", ":", "?", "<", ">")
+
+#: Deepest nesting the parser accepts.  Each level costs at most seven
+#: Python frames, so a maximal input stays far inside the default
+#: recursion limit.
+MAX_NESTING = 64
 
 _SORT_NAMES = {
     "principal": Sort.PRINCIPAL,
@@ -110,6 +123,10 @@ def _tokenize(text: str) -> Iterator[_Token]:
     yield _Token("end", "", n)
 
 
+class _TooDeep(ParseError):
+    """Nesting past :data:`MAX_NESTING`: fatal, never backtracked over."""
+
+
 class _Parser:
     """Single-use parser over a token stream."""
 
@@ -119,6 +136,10 @@ class _Parser:
         self.tokens = list(_tokenize(text))
         self.index = 0
         self.bound: list[Parameter] = []
+        self.depth = 0
+        #: ``parse_message`` outcomes by (start index, bound parameters):
+        #: ``(message or ParseError, end index)``.
+        self.messages: dict[tuple, tuple[Message | ParseError, int]] = {}
 
     # -- token plumbing ----------------------------------------------------
 
@@ -153,6 +174,17 @@ class _Parser:
         token = self.peek()
         return ParseError(f"{message} at {token.position}", self.text, token.position)
 
+    def descend(self) -> None:
+        """Enter one nesting level (pair with ``self.depth -= 1``)."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            token = self.peek()
+            raise _TooDeep(
+                f"nesting deeper than {MAX_NESTING} levels at {token.position}",
+                self.text,
+                token.position,
+            )
+
     # -- formulas ----------------------------------------------------------
 
     def parse_formula(self) -> Formula:
@@ -167,12 +199,16 @@ class _Parser:
         return left
 
     def _imp(self) -> Formula:
-        left = self._or()
-        if self.at("->"):
+        # Right-associative, folded from the right so that a long chain
+        # costs no recursion.
+        operands = [self._or()]
+        while self.at("->"):
             self.advance()
-            right = self._imp()
-            return Implies(left, right)
-        return left
+            operands.append(self._or())
+        formula = operands.pop()
+        while operands:
+            formula = Implies(operands.pop(), formula)
+        return formula
 
     def _or(self) -> Formula:
         left = self._and()
@@ -189,12 +225,16 @@ class _Parser:
         return left
 
     def _unary(self) -> Formula:
-        if self.at("~"):
-            self.advance()
-            return Not(self._unary())
-        if self.at_name("forall"):
-            return self._forall()
-        return self._primary_formula()
+        self.descend()
+        try:
+            if self.at("~"):
+                self.advance()
+                return Not(self._unary())
+            if self.at_name("forall"):
+                return self._forall()
+            return self._primary_formula()
+        finally:
+            self.depth -= 1
 
     def _forall(self) -> Formula:
         self.advance()  # forall
@@ -305,14 +345,39 @@ class _Parser:
 
     def parse_message(self) -> Message:
         """Parse a message; formulas are messages, so try formula syntax."""
-        saved = self.index
+        key = (self.index, tuple(self.bound))
+        outcome = self.messages.get(key)
+        if outcome is None:
+            outcome = (self._message_or_error(), self.index)
+            self.messages[key] = outcome
+        message, self.index = outcome
+        if isinstance(message, ParseError):
+            raise message.with_traceback(None)
+        return message
+
+    def _message_or_error(self) -> Message | ParseError:
+        start = self.index
         try:
             return self.parse_formula()
+        except _TooDeep:
+            raise
         except ParseError:
-            self.index = saved
-        return self._term()
+            self.index = start
+        try:
+            return self._term()
+        except _TooDeep:
+            raise
+        except ParseError as error:
+            return error
 
     def _term(self) -> Message:
+        self.descend()
+        try:
+            return self._term_body()
+        finally:
+            self.depth -= 1
+
+    def _term_body(self) -> Message:
         token = self.peek()
         if token.text == "(":
             return self._group_or_paren()
@@ -405,15 +470,19 @@ class _Parser:
 
 def parse_formula(text: str, vocabulary: Vocabulary) -> Formula:
     """Parse a formula of ``F_T`` over the given vocabulary."""
-    parser = _Parser(text, vocabulary)
-    formula = parser.parse_formula()
-    parser.finish(formula)
-    return formula
+    return _parse(text, vocabulary, _Parser.parse_formula)  # type: ignore[return-value]
 
 
 def parse_message(text: str, vocabulary: Vocabulary) -> Message:
     """Parse a message of ``M_T`` over the given vocabulary."""
+    return _parse(text, vocabulary, _Parser.parse_message)
+
+
+def _parse(text: str, vocabulary: Vocabulary, rule) -> Message:
     parser = _Parser(text, vocabulary)
-    message = parser.parse_message()
-    parser.finish(message)
-    return message
+    try:
+        value = rule(parser)
+    except _TooDeep as error:
+        # Callers see a plain ParseError.
+        raise ParseError(str(error), text, error.position) from None
+    return parser.finish(value)

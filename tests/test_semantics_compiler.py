@@ -1,6 +1,6 @@
 """Tests for the compiled evaluation engine.
 
-Three angles on the compiled-vs-interpreted contract:
+Four angles on the compiled-vs-interpreted contract:
 
 * the ``compiled_vs_interpreted`` fuzz oracle is clean on the honest
   compiler and **demonstrably catches planted compiler bugs** (an
@@ -10,7 +10,9 @@ Three angles on the compiled-vs-interpreted contract:
   (parameterized) formulas included — at every point of a hand-built
   two-run system;
 * the explanation tracer produces byte-identical output under both
-  engines on the golden why-false belief tree.
+  engines on the golden why-false belief tree;
+* the per-principal point-class tables stay exact on a hand-built
+  system where a key is lost and seen sets recur across runs.
 
 A last test pins the allocation property the compiled sweep's speed
 rests on: the memo retains ints, not per-subformula closures.
@@ -236,6 +238,165 @@ class TestCompiledMatchesInterpreted:
         )
         with pytest.raises(SemanticsError):
             _COMPILED.evaluate(needy, run, k)
+
+
+# ---------------------------------------------------------------------------
+# Point classes: exactness where values do not grow or recur per run
+# ---------------------------------------------------------------------------
+
+
+def _point_class_system():
+    """Three runs built to stress the per-principal point-class tables.
+
+    * A loses ``Kab`` at time 3 of r2 (a hand edit of the states:
+      no action removes a key), so A's key set *and* seen set shrink;
+    * r1 and r3 share their first steps, so equal seen sets recur in
+      different runs as distinct objects;
+    * the environment relays a message and says a formula, so ``Env``
+      is a principal worth asking about;
+    * B sends at time 0, where ``said`` holds and ``says`` does not.
+    """
+    from repro.model.runs import ENVIRONMENT, Run
+    from repro.model.states import LocalState
+    from repro.terms import Has, Sees
+
+    claim = Has(A, Kab)
+
+    def build(name, tail):
+        builder = RunBuilder([A, B, S], keysets={A: [Kab], B: [Kab, Kbs],
+                                                 S: [Kbs]})
+        builder.send(A, encrypted(Na, Kab, A), B)
+        builder.receive(B)
+        builder.send(B, encrypted(group(Nb, Na), Kab, B), A)
+        builder.mark_epoch()  # B's send happened at time 0: said, not says
+        builder.receive(A)
+        if tail == "relay":
+            builder.send(S, group(Nb, claim), ENVIRONMENT)
+            builder.receive(ENVIRONMENT)
+            builder.send(ENVIRONMENT, group(Ts, Sees(B, Na)), A)
+            builder.receive(A)
+        else:
+            builder.send(S, group(Ts, claim), B)
+            builder.receive(B)
+            builder.idle()
+        return builder.build(name)
+
+    def drop_key(run, principal, key, from_k):
+        states = list(run.states)
+        for k in run.times:
+            if k >= from_k:
+                index = k - run.start_time
+                local = states[index].local(principal)
+                states[index] = states[index].with_local(
+                    principal,
+                    LocalState(local.history, local.keys - {key}, local.data),
+                )
+        return Run(run.name, tuple(states), run.start_time, run.params,
+                   run.environment)
+
+    runs = [build("r1", "relay"), drop_key(build("r2", "relay"), A, Kab, 3),
+            build("r3", "direct")]
+    interpretation = Interpretation.from_run_table({PROPS[0]: ["r1", "r3"]})
+    vocabulary = Vocabulary().merge(VOCAB)
+    vocabulary.principal(ENVIRONMENT.name)
+    return system_of(runs, interpretation, vocabulary), claim
+
+
+def _point_class_formulas(claim):
+    from repro.model.runs import ENVIRONMENT
+    from repro.terms import Controls, Has, Said, Says, Sees, SharedKey
+
+    everyone = (A, B, S, ENVIRONMENT)
+    messages = (Na, Nb, Ts, encrypted(Na, Kab, A),
+                encrypted(group(Nb, Na), Kab, B), group(Nb, Na), claim)
+    bodies = (claim, Sees(B, Na), Prim(PROPS[0]))
+    out = []
+    for principal in everyone:
+        out += [Sees(principal, message) for message in messages]
+        out += [Has(principal, key) for key in KEYS]
+        out += [Says(principal, message) for message in messages]
+        out += [Said(principal, message) for message in messages]
+        out += [Controls(principal, body) for body in bodies]
+        out += [Believes(principal, body) for body in bodies]
+        out += [Believes(principal, Sees(A, Nb)),
+                Believes(principal, Believes(B, Has(A, Kab)))]
+    out += [SharedKey(left, key, right)
+            for left in everyone for right in everyone for key in KEYS]
+    return out
+
+
+class TestPointClassesExact:
+    @pytest.mark.parametrize("pattern_hide", [False, True])
+    @pytest.mark.parametrize("with_goodruns", [False, True])
+    def test_compiled_equals_interpreted_everywhere(
+        self, pattern_hide, with_goodruns
+    ):
+        system, claim = _point_class_system()
+        goodruns = (
+            GoodRunVector.of({A: ["r1", "r3"], B: ["r2"]})
+            if with_goodruns else None
+        )
+        interpreter = Evaluator(system, goodruns, pattern_hide=pattern_hide)
+        compiled = CompiledSystem(system, goodruns, pattern_hide=pattern_hide)
+        formulas_ = _point_class_formulas(claim)
+        for formula in formulas_:
+            assert compiled.can_compile(formula), formula
+            for run, k in system.points():
+                assert compiled.evaluate(formula, run, k) == (
+                    interpreter.evaluate(formula, run, k)
+                ), f"{formula} @ ({run.name}, {k})"
+
+    def test_the_system_exercises_every_property(self):
+        from repro.model.runs import ENVIRONMENT
+        from repro.terms import Controls, Has, Sees
+
+        system, claim = _point_class_system()
+        compiled = CompiledSystem(system)
+        r2 = system.run("r2")
+        index = compiled.point_index
+        has = compiled.truth_bits(Has(A, Kab))
+        # The lost key: held at r2's time 2, gone from time 3 on, and
+        # with it what A could read.
+        assert (has >> index[("r2", 2)]) & 1
+        assert not (has >> index[("r2", 3)]) & 1
+        assert not (has >> index[("r2", r2.end_time)]) & 1
+        sees = compiled.truth_bits(Sees(A, Na))
+        assert (sees >> index[("r2", 2)]) & 1
+        assert not (sees >> index[("r2", 3)]) & 1
+        # Equal seen sets recur across runs and share one class.
+        masks = [mask for seen, mask in compiled._seen_classes(B)]
+        runs_of = [
+            {run.name for i, (run, _k) in enumerate(compiled.points)
+             if (mask >> i) & 1}
+            for mask in masks
+        ]
+        assert any(len(names) > 1 for names in runs_of)
+        # The environment says the formula it relays, and S's claim
+        # about A's key fails exactly where A dropped it.
+        assert compiled.truth_bits(Sees(ENVIRONMENT, claim))
+        controls = compiled.truth_bits(Controls(S, claim))
+        assert controls & compiled.run_mask("r1")
+        assert not controls & compiled.run_mask("r2")
+
+    def test_dropped_seen_class_is_caught(self, monkeypatch):
+        system, claim = _point_class_system()
+        formulas_ = _point_class_formulas(claim)
+        points = tuple(system.points())
+        with _context.use(_context.fresh("dropped-seen-class")):
+            assert check_compiled_differential(system, formulas_, points) == []
+        honest = CompiledSystem._seen_classes
+
+        def dropped(self, principal):
+            classes = honest(self, principal)
+            largest = max(classes, key=lambda pair: len(pair[0]))
+            return tuple(pair for pair in classes if pair is not largest)
+
+        monkeypatch.setattr(CompiledSystem, "_seen_classes", dropped)
+        with _context.use(_context.fresh("dropped-seen-class")):
+            failures = check_compiled_differential(system, formulas_, points)
+        assert failures
+        assert {f.oracle for f in failures} == {"compiled_vs_interpreted"}
+        assert all(" sees " in f.formula for f in failures)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,18 @@ class TestRoundTrip:
                 assert status == 400, body
                 assert fragment in body["error"]
 
+    def test_deeply_nested_formulas_get_400(self):
+        # Both once raised RecursionError in the parser: a 500.
+        @_serve_test(ServeConfig())
+        async def daemon(daemon, host, port):
+            for formula in ("(" * 400 + "p0" + ")" * 400,
+                            "P1 believes " * 400 + "p0"):
+                status, body = await _post(dict(SMALL_SYSTEM, formula=formula),
+                                           host, port)
+                assert status == 400, body
+                assert "ParseError" in body["error"]
+                assert "nesting" in body["error"]
+
     def test_unknown_endpoint_and_method(self):
         @_serve_test(ServeConfig())
         async def daemon(daemon, host, port):
@@ -373,3 +385,76 @@ class TestKeepAliveClient:
             assert opened == 1
             assert sent == 5
             assert reused == 4
+
+
+class TestVerdictDocument:
+    """The whole-system verdict is read from one truth bitset when the
+    formula compiles, and point by point when it does not; either way
+    the document is the one a point-by-point interpreter loop gives."""
+
+    @staticmethod
+    def _system():
+        # S has local state in r1 only, so a formula mentioning S does
+        # not compile; ``p`` is false throughout r2, which keeps the
+        # interpreter away from S's missing state there.
+        from repro.model import Interpretation, RunBuilder, system_of
+        from tests.strategies import KEYS, NONCES, PRINCIPALS, PROPS, VOCAB
+
+        a, b, s = PRINCIPALS
+        kab = KEYS[0]
+        na = NONCES[0]
+        runs = []
+        for name, members in (("r1", (a, b, s)), ("r2", (a, b))):
+            builder = RunBuilder(members, keysets={a: [kab], b: [kab]})
+            builder.send(a, na, b)
+            builder.receive(b)
+            if s in members:
+                builder.send(b, na, s)
+                builder.receive(s)
+            else:
+                builder.idle()
+                builder.idle()
+            runs.append(builder.build(name))
+        interpretation = Interpretation.from_run_table({PROPS[0]: ["r1"]})
+        return system_of(runs, interpretation, VOCAB)
+
+    def _document(self, system, formula):
+        from repro.serve.requests import AnalysisRequest, execute
+
+        request = AnalysisRequest(kind="system", formula=formula)
+        return execute(request, lambda _request: system, None)
+
+    def _expected_failures(self, system, formula):
+        from repro.semantics import Evaluator
+        from repro.terms.parser import parse_formula
+
+        parsed = parse_formula(formula, system.vocabulary)
+        evaluator = Evaluator(system)
+        return [
+            {"run": run.name, "time": k}
+            for run, k in system.points()
+            if not evaluator.evaluate(parsed, run, k)
+        ]
+
+    @pytest.mark.parametrize("formula, compiles", [
+        ("B sees Na", True),
+        ("A believes B sees Na", True),
+        ("p -> S sees Na", False),
+    ])
+    def test_document_matches_point_by_point_loop(self, formula, compiles):
+        from repro import context as _context
+        from repro.semantics.compiler import compiled_for
+        from repro.serve.requests import MAX_FAILURES_LISTED
+        from repro.terms.parser import parse_formula
+
+        system = self._system()
+        with _context.use(_context.fresh("verdict-document")):
+            parsed = parse_formula(formula, system.vocabulary)
+            assert compiled_for(system).can_compile(parsed) is compiles
+            document = self._document(system, formula)
+        expected = self._expected_failures(system, formula)
+        assert expected, "every case has failing points to list"
+        assert document["points"] == len(tuple(system.points()))
+        assert document["verdict"] is False
+        assert document["failures"] == len(expected)
+        assert document["failing_points"] == expected[:MAX_FAILURES_LISTED]

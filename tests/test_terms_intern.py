@@ -91,6 +91,24 @@ class TestInterning:
         assert Nonce("stats-probe") is keep_alive
         assert intern_stats()["hits"] > stats["hits"]
 
+    def test_unreferenced_terms_are_collected_and_reinterned(self):
+        import gc
+
+        from repro import context as _context
+
+        with _context.use(_context.fresh("intern-weak")) as ctx:
+            term = Encrypted(Nonce("weak-probe"), Key("K"), Principal("P"))
+            key = (Encrypted, term.body, term.key, term.sender)
+            assert key in ctx.intern_table
+            del term
+            gc.collect()
+            assert key not in ctx.intern_table
+            misses = intern_stats()["misses"]
+            again = Encrypted(Nonce("weak-probe"), Key("K"), Principal("P"))
+            assert intern_stats()["misses"] == misses + 1
+            assert Encrypted(Nonce("weak-probe"), Key("K"),
+                             Principal("P")) is again
+
 
 class TestRoundTrips:
     @given(formulas())

@@ -159,6 +159,52 @@ class TestErrors:
             parse_formula("Na", VOCAB)
 
 
+class TestHostileInput:
+    """Inputs that once escaped the parser's error contract: deep
+    nesting raised ``RecursionError`` (a 500 from the daemon), and
+    nested ciphertexts took time exponential in their depth."""
+
+    def test_deep_parentheses_are_a_parse_error(self):
+        with pytest.raises(ParseError, match="nesting"):
+            parse_formula("(" * 400 + "p" + ")" * 400, VOCAB)
+
+    def test_long_belief_chain_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nesting"):
+            parse_formula("A believes " * 400 + "p", VOCAB)
+
+    def test_nesting_within_the_limit_parses(self):
+        assert parse_formula("(" * 40 + "p" + ")" * 40, VOCAB) == Prim(PROPS[0])
+        chain = parse_formula("A believes " * 40 + "p", VOCAB)
+        for _ in range(40):
+            assert isinstance(chain, Believes)
+            chain = chain.body
+        assert chain == Prim(PROPS[0])
+
+    def test_long_implication_chain_needs_no_recursion(self):
+        formula = parse_formula(" -> ".join(["p"] * 2000), VOCAB)
+        depth = 0
+        while isinstance(formula, Implies):
+            depth += 1
+            formula = formula.consequent
+        assert depth == 1999
+
+    def test_nested_ciphertexts_parse_in_linear_time(self):
+        import time
+
+        # Twenty levels: about a minute without the memo, not hours.
+        depth = 20
+        text = "A sees " + "{" * depth + "Na" + "}_Kab from A" * depth
+        started = time.perf_counter()
+        formula = parse_formula(text, VOCAB)
+        assert time.perf_counter() - started < 2.0
+        message = formula.message
+        for _ in range(depth):
+            assert isinstance(message, Encrypted)
+            message = message.body
+        assert message == Na
+        assert parse_formula(str(formula), VOCAB) == formula
+
+
 class TestRoundTrip:
     @given(formulas())
     @settings(max_examples=150, deadline=None)
