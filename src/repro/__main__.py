@@ -262,16 +262,9 @@ def _cmd_perf(args: argparse.Namespace) -> int:
             with perf.Stopwatch() as watch:
                 for system, assumptions in workloads:
                     construct_good_runs(system, assumptions, engine=engine)
-        context.current().absorb(
-            engine_ctx.counter_delta(), engine_ctx.span_delta(),
-            engine_ctx.journal_delta(), engine_ctx.metrics_delta(),
-        )
-        # The grouped summary splits ``goodruns.stage`` into
-        # per-engine rows directly; no manual filtering of the raw
-        # span buffer.
-        row = spans.summary(group_by="engine").get(
-            f"goodruns.stage{{engine={engine}}}",
-            {"count": 0, "total_s": 0.0},
+        context.current().absorb_context(engine_ctx)
+        row = engine_ctx.spans.summary().get(
+            "goodruns.stage", {"count": 0, "total_s": 0.0},
         )
         goodruns_stage_spans[engine] = {
             "stages": row["count"],

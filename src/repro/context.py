@@ -31,9 +31,11 @@ operational:
   its workload ends, and the context-owned memos carry an entry cap
   with wholesale-clear eviction (``<layer>.evict`` counters), so a
   long-lived serving process cannot accumulate unbounded state.
-* **Honest telemetry** — a worker shard runs in a fresh context and
-  ships the *whole* context's counters and spans home; no mark/delta
-  bookkeeping against a shared table.
+* **Honest, bounded telemetry** — each context owns one bounded
+  :class:`~repro.obs.store.TelemetryStore`; a worker shard runs in a
+  fresh context and ships its whole store home as one ``delta()``,
+  which the parent ``absorb()``s.  No mark/delta bookkeeping against a
+  shared table, and no absorber grows with the work it has absorbed.
 
 Cross-context terms stay correct by construction: canonical instances
 are per-context, but term ``__eq__``/``__hash__`` fall back to
@@ -46,9 +48,9 @@ themselves and are context-independent structural facts; they are owned
 transitively — they die with the context whose intern table kept their
 node alive.
 
-The module sits at the very bottom of the import stack (stdlib only;
-the span recorder class is imported lazily) so every layer can depend
-on it.
+The module sits at the very bottom of the import stack (it imports only
+the stdlib and the import-free :mod:`repro.obs.store`) so every layer
+can depend on it.
 """
 
 from __future__ import annotations
@@ -56,7 +58,9 @@ from __future__ import annotations
 import contextvars
 import threading
 import weakref
-from typing import Any, Mapping, Sequence
+from typing import Any
+
+from repro.obs.store import TelemetryStore
 
 #: Default entry cap for each context-owned memo dict.  On overflow the
 #: memo is cleared wholesale (O(1) amortized, no LRU bookkeeping on the
@@ -118,14 +122,13 @@ class EngineContext:
       (:mod:`repro.terms.intern` resolves it via :func:`current`);
     * ``hide_memo`` / ``seen_memo`` — the semantic-kernel memos, entry
       capped (:class:`BoundedMemo`);
-    * ``counters`` — the flat perf counter table (``repro.perf``
-      reads and writes the current context's);
-    * ``spans`` — the wall-clock span buffer
-      (:class:`repro.obs.spans.SpanRecorder`), created lazily;
-    * ``journal`` — the bounded flight-recorder ring buffer
-      (:class:`repro.obs.journal.Journal`), created lazily;
-    * ``metrics`` — the labeled-instrument registry
-      (:class:`repro.obs.metrics.MetricsRegistry`), created lazily;
+    * ``telemetry`` — the context's one bounded
+      :class:`~repro.obs.store.TelemetryStore`.  Its parts are exposed
+      directly for the hot paths: ``counters`` (the flat perf counter
+      table ``repro.perf`` reads and writes), ``cache_peaks``,
+      ``spans`` (span aggregates plus the raw-span ring), ``journal``
+      (the flight-recorder ring) and ``metrics`` (labeled
+      instruments);
     * ``corr_id`` — the session's correlation ID (stamped onto journal
       events and span attributes; the per-request ID a serving layer
       threads through shards and ephemeral contexts);
@@ -146,13 +149,14 @@ class EngineContext:
         "intern_table",
         "hide_memo",
         "seen_memo",
+        "telemetry",
         "counters",
+        "cache_peaks",
+        "spans",
+        "journal",
+        "metrics",
         "evaluators",
         "compiled_systems",
-        "cache_peaks",
-        "_spans",
-        "_journal",
-        "_metrics",
         "_backends",
         "__weakref__",
     )
@@ -168,66 +172,18 @@ class EngineContext:
         )
         self.hide_memo = BoundedMemo("hide", memo_cap)
         self.seen_memo = BoundedMemo("seen_submsgs", memo_cap)
-        self.counters: dict[str, int] = {}
+        store = self.telemetry = TelemetryStore()
+        self.counters = store.counters
+        self.cache_peaks = store.cache_peaks
+        self.spans = store.spans
+        self.journal = store.journal
+        self.metrics = store.metrics
         self.evaluators: "weakref.WeakSet" = weakref.WeakSet()
         # Compiled-system cache (repro.semantics.compiler): holds systems
         # strongly, so the cap is deliberately small — a session works a
         # handful of systems at a time, not thousands.
         self.compiled_systems = BoundedMemo("compiled_systems", min(memo_cap, 256))
-        # High-water marks of the registered perf caches, maxed in by
-        # perf.observe_cache_peaks(); survives the caches themselves
-        # dying (weakly-registered evaluator memos) or being cleared.
-        self.cache_peaks: dict[str, int] = {}
-        self._spans = None
-        self._journal = None
-        self._metrics = None
         self._backends = None
-
-    # -- lazily-built members --------------------------------------------------
-
-    @property
-    def spans(self):
-        """The context's span recorder (built on first use).
-
-        Lazy for two reasons: contexts stay stdlib-cheap to construct,
-        and the import of :mod:`repro.obs.spans` (which itself imports
-        this module) is deferred past both modules' initialization.
-        """
-        recorder = self._spans
-        if recorder is None:
-            from repro.obs.spans import SpanRecorder
-
-            recorder = SpanRecorder()
-            self._spans = recorder
-        return recorder
-
-    @property
-    def journal(self):
-        """The context's flight-recorder ring buffer (built on first use).
-
-        Lazy for the same reasons as :attr:`spans`: contexts stay
-        stdlib-cheap to construct, and the :mod:`repro.obs.journal`
-        import (which itself imports this module) is deferred past both
-        modules' initialization.
-        """
-        ring = self._journal
-        if ring is None:
-            from repro.obs.journal import Journal
-
-            ring = Journal()
-            self._journal = ring
-        return ring
-
-    @property
-    def metrics(self):
-        """The context's labeled-metrics registry (built on first use)."""
-        registry = self._metrics
-        if registry is None:
-            from repro.obs.metrics import MetricsRegistry
-
-            registry = MetricsRegistry()
-            self._metrics = registry
-        return registry
 
     @property
     def backends(self):
@@ -250,60 +206,13 @@ class EngineContext:
 
     # -- telemetry transport ---------------------------------------------------
 
-    def counter_delta(self) -> dict[str, int]:
-        """The context's counters as a plain dict (for shipping home).
-
-        An ephemeral context starts from zero, so its whole table *is*
-        the delta — this replaces the mark/`delta_since` bookkeeping
-        worker shards used to do against the shared global table.
-        """
-        return dict(self.counters)
-
-    def span_delta(self) -> list[dict[str, Any]]:
-        """The context's span samples as plain picklable data."""
-        if self._spans is None:
-            return []
-        return [dict(sample) for sample in self._spans.snapshot()]
-
-    def journal_delta(self) -> list[dict[str, Any]]:
-        """The context's journal events as plain picklable data."""
-        if self._journal is None:
-            return []
-        return self._journal.delta_since(0)
-
-    def metrics_delta(self) -> dict[str, Any]:
-        """The context's metric instruments as a plain-data snapshot."""
-        if self._metrics is None:
-            return {}
-        return self._metrics.snapshot()
-
-    def absorb(self, counters: Mapping[str, int] | None = None,
-               spans: Sequence[Mapping[str, Any]] | None = None,
-               journal: Sequence[Mapping[str, Any]] | None = None,
-               metrics: Mapping[str, Any] | None = None) -> None:
-        """Merge another context's telemetry into this one.
-
-        Counters add, spans and journal events append, and metric
-        instruments merge by kind (counters/histograms add, gauges
-        max).  Cache contents are deliberately *not* merged: they are
-        private to their context.  Only the observable accounting flows
-        upward.
-        """
-        if counters:
-            mine = self.counters
-            for event, n in counters.items():
-                mine[event] = mine.get(event, 0) + n
-        if spans:
-            self.spans.merge(spans)
-        if journal:
-            self.journal.merge(journal)
-        if metrics:
-            self.metrics.merge(metrics)
-
     def absorb_context(self, other: "EngineContext") -> None:
-        """Shorthand: absorb everything observable about ``other``."""
-        self.absorb(other.counter_delta(), other.span_delta(),
-                    other.journal_delta(), other.metrics_delta())
+        """Absorb everything observable about ``other`` (its whole store).
+
+        Cache contents are deliberately *not* merged: they are private
+        to their context.  Only the telemetry flows upward.
+        """
+        self.telemetry.absorb(other.telemetry.delta())
 
     # -- bookkeeping -----------------------------------------------------------
 

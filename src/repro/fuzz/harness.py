@@ -33,7 +33,7 @@ from repro.logic.engine import Derivation, Rule
 from repro.logic.proof import Proof
 from repro.model.system import System
 from repro.obs import journal, metrics, run_metadata, spans
-from repro.obs.spans import summarize
+from repro.obs.spans import SpanRecorder
 from repro.obs.trace import render_why, trace_evaluation
 from repro.semantics.backend import get_backend
 
@@ -145,7 +145,7 @@ class FuzzReport:
     elapsed_s: float = 0.0
     #: Environment fingerprint (:func:`repro.obs.run_metadata`).
     meta: dict = field(default_factory=dict)
-    #: Per-phase wall-clock summary (:func:`repro.obs.spans.summarize`).
+    #: Per-phase wall-clock summary (:meth:`SpanRecorder.summary` rows).
     spans: dict = field(default_factory=dict)
 
     @property
@@ -550,7 +550,9 @@ def run_fuzz(
     iteration_seconds = metrics.registry().histogram(
         "fuzz_iteration_seconds", "Wall-clock per fuzz iteration."
     )
-    span_mark = spans.mark()
+    # The campaign's own span aggregates, for the report: the caller's
+    # context may hold spans of earlier work, and its raw ring is capped.
+    campaign_spans = SpanRecorder()
     started = time.perf_counter()
     for iteration in range(config.iterations):
         # Each iteration runs in an ephemeral engine context: its
@@ -578,15 +580,14 @@ def run_fuzz(
                     example.corr_id = corr_id
                     example.journal = events
         iteration_seconds.observe(time.perf_counter() - iteration_started)
-        context.current().absorb(
-            iter_ctx.counter_delta(), iter_ctx.span_delta(),
-            iter_ctx.journal_delta(), iter_ctx.metrics_delta(),
-        )
+        delta = iter_ctx.telemetry.delta()
+        context.current().telemetry.absorb(delta)
+        campaign_spans.absorb(delta["spans"])
         report.iterations += 1
         if progress is not None:
             progress(report)
     report.elapsed_s = time.perf_counter() - started
-    report.spans = summarize(spans.delta_since(span_mark))
+    report.spans = campaign_spans.summary()
     return report
 
 
@@ -780,10 +781,7 @@ def _fuzz_iteration(
                         goodruns_assumptions,
                         optimality_cap=config.goodruns_optimality_cap,
                     )
-        context.current().absorb(
-            goodruns_ctx.counter_delta(), goodruns_ctx.span_delta(),
-            goodruns_ctx.journal_delta(), goodruns_ctx.metrics_delta(),
-        )
+        context.current().absorb_context(goodruns_ctx)
         if goodruns_assumptions is not None:
             report.count_check("goodruns_construction")
             journal.record("oracle_verdict", oracle="goodruns_construction",

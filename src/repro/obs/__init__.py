@@ -1,22 +1,19 @@
-"""Observability: spans, metrics, journal, traces, and run metadata.
+"""Observability: the telemetry store, its views, traces, run metadata.
 
-Five layers, complementing the flat hit/miss counters of
-:mod:`repro.perf`:
-
-* :mod:`repro.obs.spans` — named wall-clock spans with percentile
-  summaries; buffered per context, shipped across worker processes as
-  deltas and merged losslessly (the ``spans`` section of
-  ``BENCH_sweep.json``);
-* :mod:`repro.obs.metrics` — the labeled-metrics registry (typed
-  counters/gauges/histograms on the :class:`~repro.context.
-  EngineContext`) and the *unified snapshot* that folds perf counters,
-  cache peaks/hit-rates, span percentiles, and journal depth into one
-  document with Prometheus and JSON exporters (``python -m repro
-  obs``);
-* :mod:`repro.obs.journal` — the flight recorder: a bounded ring of
-  structured events (compilations, cache evictions, fallbacks, stage
-  skips, oracle verdicts, shard merges) carrying correlation IDs that
-  survive process boundaries; fuzz counterexamples attach its tail;
+* :mod:`repro.obs.store` — the one bounded telemetry store each
+  :class:`~repro.context.EngineContext` owns: counters, cache peaks,
+  span aggregates plus a raw-span ring, the journal ring, and labeled
+  instruments, moved between contexts and processes by one
+  ``delta()``/``absorb()`` pair;
+* :mod:`repro.obs.spans` — named wall-clock spans recorded into the
+  current context's store, with bucket-derived percentile summaries
+  (the ``spans`` section of ``BENCH_sweep.json``);
+* :mod:`repro.obs.journal` — the flight recorder: structured events
+  (compilations, evictions, fallbacks, stage skips, oracle verdicts,
+  shard merges) carrying correlation IDs that survive process
+  boundaries; fuzz counterexamples attach its tail;
+* :mod:`repro.obs.metrics` — the *unified snapshot* of a context's
+  store with Prometheus and JSON exporters (``python -m repro obs``);
 * :mod:`repro.obs.trace` — the opt-in evaluation tracer: the full
   "why-false" proof tree behind any verdict of the Section 6 truth
   definition, renderable or emitted as JSONL (``python -m repro

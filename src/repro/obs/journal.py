@@ -9,19 +9,13 @@ after the fact.  Fuzz counterexamples attach the tail of their
 iteration's journal next to the why-false trace, and ``python -m repro
 obs --journal`` dumps a workload's ring as JSONL.
 
-Design points, mirroring ``spans``:
-
-* **Zero dependencies** — stdlib only, importable from anywhere.
-* **Bounded by construction** — the ring keeps the last ``capacity``
-  events and counts what it dropped; a long-lived process cannot
-  accumulate unbounded history (that is the "flight recorder"
-  contract: the recent past, always, cheaply).
-* **Plain data** — events are dicts (``seq``/``ts``/``kind``/``corr``
-  plus free-form attributes), so they pickle, merge across processes,
-  and serialize to JSONL without machinery.
-* **Process-safe by delta shipping** — a worker shard records into its
-  ephemeral context's journal and ships ``delta_since(mark)`` home;
-  the parent ``merge()``s, exactly like spans and counters.
+The ring itself (:class:`~repro.obs.store.Journal`) is part of each
+engine context's :class:`~repro.obs.store.TelemetryStore`: it keeps the
+last ``capacity`` events and counts what it dropped, so a long-lived
+process cannot accumulate unbounded history (the "flight recorder"
+contract: the recent past, always, cheaply).  Events are plain dicts
+(``seq``/``ts``/``kind``/``corr`` plus free-form attributes), so they
+pickle, ship home with the store's ``delta()``, and serialize to JSONL.
 
 **Correlation IDs.**  Every event carries ``corr``: the correlation ID
 of the context that recorded it (``EngineContext.corr_id``).  The
@@ -31,137 +25,19 @@ inherit the creator's ID, and the parallel sweep ships its ID to
 worker shards, so one logical request keeps one ID across threads,
 processes, and throwaway contexts.  Span attributes are stamped with
 the same ID (see :func:`repro.obs.spans.span`), which is the
-per-request provenance contract the future ``repro.serve`` daemon
-builds on: one ``corr`` selects a request's events, spans, and
+per-request provenance contract ``repro.serve`` builds on: one
+``corr`` selects a request's events, spans, and
 counterexamples out of any merged stream.
 """
 
 from __future__ import annotations
 
-import json
-import threading
-import time
 import uuid
-from collections import deque
 from contextlib import contextmanager
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterator
 
 from repro import context as _context
-
-#: Default ring capacity.  Sized for "the recent past of one session":
-#: big enough that a fuzz campaign's last iterations or a sweep's shard
-#: merges are all present, small enough to be ignorable memory.
-DEFAULT_CAPACITY = 4096
-
-
-class Journal:
-    """A bounded ring buffer of structured events, safe across threads."""
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        if capacity <= 0:
-            raise ValueError(f"journal capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        #: Recording switch: a ``False`` here makes :meth:`record` a
-        #: no-op (the overhead-guard baseline and a lever a hot serving
-        #: loop can pull without unwiring call sites).
-        self.enabled = True
-        self._lock = threading.Lock()
-        self._ring: deque[dict[str, Any]] = deque(maxlen=capacity)
-        self._seq = 0
-        self._dropped = 0
-
-    # -- recording -----------------------------------------------------------
-
-    def record(self, kind: str, corr: str | None = None, **attrs: Any) -> None:
-        """Append one event (``kind`` plus free-form attributes)."""
-        if not self.enabled:
-            return
-        event: dict[str, Any] = {
-            "seq": 0,  # assigned under the lock
-            "ts": round(time.time(), 6),
-            "kind": kind,
-            "corr": corr,
-        }
-        if attrs:
-            event["attrs"] = attrs
-        with self._lock:
-            self._seq += 1
-            event["seq"] = self._seq
-            if len(self._ring) == self.capacity:
-                self._dropped += 1
-            self._ring.append(event)
-
-    # -- transport (the parallel-sweep contract) ------------------------------
-
-    def mark(self) -> int:
-        """A position in the event stream; pair with :meth:`delta_since`.
-
-        Positions are sequence numbers, not buffer indices, so a mark
-        stays meaningful even after the ring wraps past it.
-        """
-        with self._lock:
-            return self._seq
-
-    def delta_since(self, mark: int) -> list[dict[str, Any]]:
-        """Every *retained* event recorded after ``mark``, as plain data.
-
-        Events that wrapped out of the ring between ``mark`` and now are
-        gone — by design; :attr:`dropped` keeps the honest count.
-        """
-        with self._lock:
-            return [
-                dict(event) for event in self._ring if event["seq"] > mark
-            ]
-
-    def merge(self, events: Iterable[Mapping[str, Any]]) -> None:
-        """Fold another context's journal delta into this ring.
-
-        Merged events keep their original ``seq``/``ts``/``corr`` — the
-        correlation ID, not the local sequence, is what ties a merged
-        stream back to its origin.
-        """
-        with self._lock:
-            for event in events:
-                if len(self._ring) == self.capacity:
-                    self._dropped += 1
-                self._ring.append(dict(event))
-
-    # -- views ----------------------------------------------------------------
-
-    def snapshot(self) -> tuple[dict[str, Any], ...]:
-        with self._lock:
-            return tuple(dict(event) for event in self._ring)
-
-    def tail(self, n: int) -> list[dict[str, Any]]:
-        """The last ``n`` events (most recent last), as plain data."""
-        if n <= 0:
-            return []
-        with self._lock:
-            events = list(self._ring)[-n:]
-        return [dict(event) for event in events]
-
-    @property
-    def dropped(self) -> int:
-        """How many events the ring has discarded (overwrite + merge)."""
-        with self._lock:
-            return self._dropped
-
-    def reset(self) -> None:
-        with self._lock:
-            self._ring.clear()
-            self._dropped = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._ring)
-
-    def write_jsonl(self, path: str) -> int:
-        """Dump the ring as JSONL (one event per line); returns count."""
-        events = self.snapshot()
-        with open(path, "w", encoding="utf-8") as handle:
-            for event in events:
-                handle.write(json.dumps(event, sort_keys=True) + "\n")
-        return len(events)
+from repro.obs.store import DEFAULT_CAPACITY, Journal  # noqa: F401 (re-export)
 
 
 #: The module-level functions below delegate to the *current engine
@@ -184,24 +60,8 @@ def tail(n: int) -> list[dict[str, Any]]:
     return journal().tail(n)
 
 
-def mark() -> int:
-    return journal().mark()
-
-
-def delta_since(position: int) -> list[dict[str, Any]]:
-    return journal().delta_since(position)
-
-
-def merge(events: Iterable[Mapping[str, Any]]) -> None:
-    journal().merge(events)
-
-
 def snapshot() -> tuple[dict[str, Any], ...]:
     return journal().snapshot()
-
-
-def reset() -> None:
-    journal().reset()
 
 
 def write_jsonl(path: str) -> int:

@@ -3,221 +3,44 @@
 Where :mod:`repro.perf` answers "how often did each cache hit?", this
 module answers "where did the time go?".  A *span* is one named,
 monotonic-clock-timed region of work (``with spans.span("sweep.schema",
-schema="A1"): ...``); completed spans land in the current engine
-context's buffer (:mod:`repro.context`) as plain dicts, so they pickle,
-merge across processes, and serialize to JSONL without any machinery.
+schema="A1"): ...``), recorded into the current engine context's
+:class:`~repro.obs.store.SpanRecorder` (:mod:`repro.context`).
 
-Design points, mirroring ``perf``:
+Each span feeds two bounded structures:
 
-* **Zero dependencies** — stdlib only, importable from anywhere.
-* **Thread-safe** — buffer appends take a lock; the timing itself is
-  lock-free (``time.perf_counter`` before/after).
-* **Process-safe by delta shipping** — a worker records spans locally,
-  computes ``delta_since(mark)``, and ships the plain-data delta home;
-  the parent ``merge()``s it.  Executor processes are reused across
-  shards, so deltas (not raw buffers) are the unit of transport,
-  exactly like ``perf`` counter deltas.
-* **Coarse-grained by convention** — spans wrap phases (a schema sweep,
-  a good-runs stage, a fuzz iteration), not individual ``_eval`` calls;
-  buffers stay small and summaries stay meaningful.  The per-formula
-  story belongs to :mod:`repro.obs.trace`.
+* the **aggregate** of its name — count, sum, min, max and fixed log
+  buckets (split by the ``engine`` attribute when present).  Aggregates
+  merge by addition, so a parallel sweep's shards and a daemon's
+  batches fold home exactly; ``summary()``, ``histogram()`` and the
+  Prometheus quantiles read them, at a cost of O(span names);
+* a **raw ring** of the most recent samples (plain dicts, seq-marked
+  like the journal) for JSONL export and per-request slices.  The ring
+  drops its oldest samples past capacity and counts them.
 
-``summary()`` reduces the buffer to per-name count/total/min/max plus
-p50/p95/p99 percentiles (nearest-rank); ``histogram()`` buckets the
-durations on a log scale.  Both are derived views — the buffer of raw
-samples remains the single source of truth, which is what makes the
-parallel-sweep merge lossless.
+Spans are coarse by convention: they wrap phases (a schema sweep, a
+good-runs stage, a fuzz iteration), not individual ``_eval`` calls.
+The per-formula story belongs to :mod:`repro.obs.trace`.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import threading
-import time
-from contextlib import contextmanager
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro import context as _context
-
-
-class SpanRecorder:
-    """A buffer of completed spans, safe to share across threads."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._buffer: list[dict[str, Any]] = []
-
-    # -- recording -----------------------------------------------------------
-
-    def record(self, name: str, seconds: float, **attrs: Any) -> None:
-        """Append one completed span (``seconds`` of wall-clock time)."""
-        sample: dict[str, Any] = {"name": name, "seconds": seconds}
-        if attrs:
-            sample["attrs"] = attrs
-        with self._lock:
-            self._buffer.append(sample)
-
-    @contextmanager
-    def span(self, name: str, **attrs: Any) -> Iterator[dict[str, Any]]:
-        """Time a region of work on the monotonic clock.
-
-        Yields the (mutable) attribute dict, so callers can attach
-        results that only exist once the work is done::
-
-            with spans.span("goodruns.stage", depth=j) as attrs:
-                ...
-                attrs["survivors"] = count
-        """
-        start = time.perf_counter()
-        try:
-            yield attrs
-        finally:
-            self.record(name, time.perf_counter() - start, **attrs)
-
-    def event(self, name: str, **attrs: Any) -> None:
-        """Record a zero-duration marker (a point event)."""
-        self.record(name, 0.0, **attrs)
-
-    # -- transport (the parallel-sweep contract) ------------------------------
-
-    def mark(self) -> int:
-        """A position in the buffer; pair with :meth:`delta_since`."""
-        with self._lock:
-            return len(self._buffer)
-
-    def delta_since(self, mark: int) -> list[dict[str, Any]]:
-        """Every span recorded after ``mark``, as plain picklable data."""
-        with self._lock:
-            return [dict(sample) for sample in self._buffer[mark:]]
-
-    def merge(self, samples: Iterable[Mapping[str, Any]]) -> None:
-        """Fold another process's span delta into this buffer."""
-        with self._lock:
-            for sample in samples:
-                self._buffer.append(dict(sample))
-
-    # -- views ----------------------------------------------------------------
-
-    def snapshot(self) -> tuple[dict[str, Any], ...]:
-        with self._lock:
-            return tuple(dict(sample) for sample in self._buffer)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._buffer.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._buffer)
-
-    def summary(self, group_by: str | None = None) -> dict[str, dict[str, Any]]:
-        """Per-name count/total/min/max/p50/p95/p99, from the buffer.
-
-        With ``group_by`` set to an attribute name, samples carrying
-        that attribute split into per-value rows keyed
-        ``name{attr=value}`` (e.g. ``goodruns.stage`` by ``depth`` or
-        ``engine``); samples without the attribute keep their plain
-        name — no more manual post-filtering of the raw buffer.
-        """
-        return summarize(self.snapshot(), group_by=group_by)
-
-    def histogram(self, name: str, base: float = 2.0) -> list[tuple[float, int]]:
-        """Log-bucketed duration counts for one span name.
-
-        Buckets are ``(upper_edge_seconds, count)`` with edges at
-        integer powers of ``base`` (micro-second floor); zero-duration
-        events land in the first bucket.
-        """
-        durations = [
-            sample["seconds"] for sample in self.snapshot()
-            if sample["name"] == name
-        ]
-        if not durations:
-            return []
-        counts: dict[int, int] = {}
-        for seconds in durations:
-            exponent = (
-                math.ceil(math.log(seconds, base)) if seconds > 1e-6 else
-                math.ceil(math.log(1e-6, base))
-            )
-            counts[exponent] = counts.get(exponent, 0) + 1
-        return [
-            (base ** exponent, counts[exponent])
-            for exponent in sorted(counts)
-        ]
-
-    def render(self, group_by: str | None = None) -> str:
-        """Human-readable span table (the ``perf`` CLI companion)."""
-        summary = self.summary(group_by=group_by)
-        width = max([26] + [len(name) for name in summary])
-        header = (
-            f"{'span':<{width}} {'count':>6} {'total_s':>9} {'p50_s':>9} "
-            f"{'p95_s':>9} {'p99_s':>9} {'max_s':>9}"
-        )
-        lines = [header, "-" * len(header)]
-        for name in sorted(summary):
-            row = summary[name]
-            lines.append(
-                f"{name:<{width}} {row['count']:>6} {row['total_s']:>9.4f} "
-                f"{row['p50_s']:>9.4f} {row['p95_s']:>9.4f} "
-                f"{row['p99_s']:>9.4f} {row['max_s']:>9.4f}"
-            )
-        return "\n".join(lines)
-
-    def write_jsonl(self, path: str) -> int:
-        """Dump the buffer as JSONL (one span per line); returns count."""
-        samples = self.snapshot()
-        with open(path, "w", encoding="utf-8") as handle:
-            for sample in samples:
-                handle.write(json.dumps(sample, sort_keys=True) + "\n")
-        return len(samples)
-
-
-def percentile(durations: list[float], q: float) -> float:
-    """Nearest-rank percentile of a non-empty, *sorted* duration list."""
-    if not durations:
-        raise ValueError("percentile of an empty sample set")
-    rank = max(1, math.ceil(q / 100.0 * len(durations)))
-    return durations[rank - 1]
+from repro.obs.store import SpanRecorder, aggregate_samples, summary_rows
 
 
 def summarize(
     samples: Iterable[Mapping[str, Any]],
     group_by: str | None = None,
 ) -> dict[str, dict[str, Any]]:
-    """Reduce raw span samples to per-name timing statistics.
-
-    ``group_by`` names a span attribute: samples carrying it are keyed
-    ``name{attr=value}`` instead of plain ``name``, yielding per-stage
-    or per-engine rows directly from the buffer.
-    """
-    by_name: dict[str, list[float]] = {}
-    for sample in samples:
-        key = sample["name"]
-        if group_by is not None:
-            attrs = sample.get("attrs") or {}
-            if group_by in attrs:
-                key = f"{key}{{{group_by}={attrs[group_by]}}}"
-        by_name.setdefault(key, []).append(sample["seconds"])
-    out: dict[str, dict[str, Any]] = {}
-    for name, durations in by_name.items():
-        durations.sort()
-        out[name] = {
-            "count": len(durations),
-            "total_s": round(sum(durations), 6),
-            "min_s": round(durations[0], 6),
-            "max_s": round(durations[-1], 6),
-            "p50_s": round(percentile(durations, 50), 6),
-            "p95_s": round(percentile(durations, 95), 6),
-            "p99_s": round(percentile(durations, 99), 6),
-        }
-    return out
+    """Per-name timing rows of raw span samples (bucket quantiles)."""
+    return summary_rows(aggregate_samples(samples), group_by)
 
 
 #: The module-level functions below delegate to the *current engine
-#: context's* recorder, mirroring ``perf.counters``: one shared buffer
-#: per process by default (the default context), a private buffer per
+#: context's* recorder, mirroring ``perf.counters``: one shared recorder
+#: per process by default (the default context), a private one per
 #: session when a workload runs under :func:`repro.context.use`.
 
 
@@ -230,8 +53,7 @@ def _stamp_corr(attrs: dict[str, Any]) -> dict[str, Any]:
 
     The same ID lands on journal events (:mod:`repro.obs.journal`), so
     one ``corr`` value selects a request's spans *and* events out of
-    any merged telemetry stream — the provenance contract fuzz
-    counterexamples and the future serve daemon rely on.
+    any merged telemetry stream.
     """
     corr = _context.current().corr_id
     if corr is not None:
@@ -243,24 +65,8 @@ def span(name: str, **attrs: Any):
     return recorder().span(name, **_stamp_corr(attrs))
 
 
-def record(name: str, seconds: float, **attrs: Any) -> None:
-    recorder().record(name, seconds, **_stamp_corr(attrs))
-
-
 def event(name: str, **attrs: Any) -> None:
     recorder().event(name, **_stamp_corr(attrs))
-
-
-def mark() -> int:
-    return recorder().mark()
-
-
-def delta_since(position: int) -> list[dict[str, Any]]:
-    return recorder().delta_since(position)
-
-
-def merge(samples: Iterable[Mapping[str, Any]]) -> None:
-    recorder().merge(samples)
 
 
 def snapshot() -> tuple[dict[str, Any], ...]:
@@ -275,13 +81,5 @@ def summary(group_by: str | None = None) -> dict[str, dict[str, Any]]:
     return recorder().summary(group_by=group_by)
 
 
-def histogram(name: str, base: float = 2.0) -> list[tuple[float, int]]:
-    return recorder().histogram(name, base)
-
-
 def render(group_by: str | None = None) -> str:
     return recorder().render(group_by=group_by)
-
-
-def write_jsonl(path: str) -> int:
-    return recorder().write_jsonl(path)

@@ -102,15 +102,9 @@ def reset_counters() -> None:
 
 
 def merge_counters(extra: Mapping[str, int]) -> None:
-    """Add another process's counter deltas into this process's table.
-
-    The parallel soundness sweep ships each worker shard's counter delta
-    back to the parent (see :mod:`repro.soundness.sweep`); merging here
-    keeps ``report()``/``snapshot()`` complete for parallel workloads.
-    """
-    table = _context.current().counters
-    for event, n in extra.items():
-        table[event] = table.get(event, 0) + n
+    """Add counter deltas into the current context's table (the
+    counters-only form of :meth:`repro.obs.store.TelemetryStore.absorb`)."""
+    _context.current().telemetry.absorb({"counters": extra})
 
 
 def register_cache(
@@ -137,7 +131,7 @@ def cache_sizes() -> dict[str, int]:
     return {name: sizer() for name, sizer in _cache_sizers.items()}
 
 
-def observe_cache_peaks() -> dict[str, int]:
+def observe_cache_peaks(sizes: Mapping[str, int] | None = None) -> dict[str, int]:
     """Max the current cache sizes into the context's high-water marks.
 
     Several cache layers (notably ``eval_memo``) are registered through
@@ -145,34 +139,26 @@ def observe_cache_peaks() -> dict[str, int]:
     0, so an end-of-workload ``cache_sizes()`` under-reports the real
     footprint.  Workloads call this at their peaks (the sweep does, per
     system); :func:`snapshot` reports the marks alongside the live
-    sizes.
+    sizes.  Pass ``sizes`` when the caller already measured them.
     """
     peaks = _context.current().cache_peaks
-    for name, size in cache_sizes().items():
+    for name, size in (cache_sizes() if sizes is None else sizes).items():
         if size > peaks.get(name, 0):
             peaks[name] = size
     return dict(peaks)
 
 
-def merge_cache_peaks(extra: Mapping[str, int]) -> None:
-    """Max another context's cache high-water marks into this one's.
-
-    The parallel sweep ships each worker shard's peaks home: the shard's
-    evaluators die with the shard, so only the recorded marks survive.
-    """
-    peaks = _context.current().cache_peaks
-    for name, size in extra.items():
-        if size > peaks.get(name, 0):
-            peaks[name] = size
-
-
 def snapshot() -> dict[str, Any]:
-    """Counters, cache sizes, peaks, and hit rates, as one plain dict."""
-    observe_cache_peaks()
+    """Counters, cache sizes, peaks, and hit rates, as one plain dict.
+
+    Every registered cache is sized once: the same sizes feed the
+    high-water marks and the ``cache_sizes`` section.
+    """
+    sizes = cache_sizes()
     return {
         "counters": dict(_context.current().counters),
-        "cache_sizes": cache_sizes(),
-        "cache_peaks": dict(_context.current().cache_peaks),
+        "cache_sizes": sizes,
+        "cache_peaks": observe_cache_peaks(sizes),
         "hit_rates": hit_rates(),
     }
 

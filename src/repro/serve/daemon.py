@@ -42,7 +42,7 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-from repro import context
+from repro import context, perf
 from repro.obs import journal as journal_mod
 from repro.obs import metrics as metrics_mod
 from repro.obs import spans as spans_mod
@@ -155,9 +155,11 @@ class AnalysisDaemon:
     """The serving loop: admission, dispatch, execution, telemetry.
 
     One instance owns a *root* engine context.  All steady-state
-    telemetry (admission counters, per-batch absorbed counters/spans/
-    journal events) accumulates there; ``/metrics`` and ``/stats``
-    read it, and shard telemetry merges into it on shutdown.
+    telemetry (admission counters, each batch context's absorbed
+    store) accumulates there; ``/metrics`` and ``/stats`` read it.
+    The root's store is bounded — counters by event name, spans by
+    name aggregates plus a capped raw ring, the journal by its ring —
+    so its memory and scrape cost do not grow with uptime.
     """
 
     def __init__(self, config: ServeConfig | None = None) -> None:
@@ -394,7 +396,6 @@ class AnalysisDaemon:
             if count != counters_before.get(event, 0)
         }
         own_spans = batch_ctx.spans.delta_since(span_mark)
-        snapshot = metrics_mod.unified_snapshot(meta={"corr_id": job.corr_id})
         return {
             "corr_id": job.corr_id,
             "elapsed_ms": round((time.monotonic() - started) * 1000, 3),
@@ -404,8 +405,8 @@ class AnalysisDaemon:
             "journal_tail": batch_ctx.journal.delta_since(
                 journal_mark)[-TELEMETRY_JOURNAL_TAIL:],
             "snapshot": {
-                "perf": snapshot["perf"],
-                "journal": snapshot["journal"],
+                "perf": perf.snapshot(),
+                "journal": metrics_mod.ring_stats(batch_ctx.journal),
             },
         }
 
@@ -511,7 +512,9 @@ class AnalysisDaemon:
             return 503, {"error": "daemon is draining; not accepting work"}
         self.root.counters["serve.accepted"] = (
             self.root.counters.get("serve.accepted", 0) + 1)
-        if parsed.kind == "system":
+        # Only names the registry resolves get a counter: an unknown
+        # name fails with 400 later and must leave nothing behind.
+        if parsed.kind == "system" and parsed.backend in self.root.backends:
             backend_counter = f"serve.backend.{parsed.backend}"
             self.root.counters[backend_counter] = (
                 self.root.counters.get(backend_counter, 0) + 1)
@@ -528,6 +531,7 @@ class AnalysisDaemon:
             "queued": len(self._queue),
             "draining": self._draining,
             "counters": dict(self.root.counters),
+            "span_ring": metrics_mod.ring_stats(self.root.spans),
             "cached_systems": len(self._systems),
             "cached_reports": len(self._reports),
             "corr_id": self.root.corr_id,

@@ -19,7 +19,7 @@ import itertools
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro import context, perf
 from repro.logic.axioms import AXIOMS, InstancePool, Schema
@@ -486,27 +486,23 @@ def _sweep_shard(
     engine: str = DEFAULT_ENGINE,
     backend: str = DEFAULT_BACKEND,
     corr_id: str | None = None,
-) -> tuple[SweepReport, dict[str, int], list[dict], dict[str, int],
-           list[dict], dict]:
+) -> tuple[SweepReport, dict[str, Any]]:
     """Worker entry point: one system, one contiguous slice of schemas.
 
-    The shard runs under an **ephemeral engine context**: its caches,
-    counters, spans, journal, and metrics are born empty and die with
-    the shard, so executor-process reuse cannot bleed one shard's state
-    into the next, and the shard's whole telemetry *is* the delta to
-    ship home — no mark/``delta_since`` bookkeeping against a shared
-    global table.  The parent's correlation ID rides along, so every
-    journal event and span the shard records stays attributable to the
-    request that spawned the pool.
+    The shard runs under an **ephemeral engine context**: its caches and
+    telemetry store are born empty and die with the shard, so
+    executor-process reuse cannot bleed one shard's state into the
+    next, and the shard's whole store *is* the delta to ship home.  The
+    parent's correlation ID rides along, so every journal event and
+    span the shard records stays attributable to the request that
+    spawned the pool.
 
-    Returns the shard report, the perf-counter delta, the span delta,
-    the shard's cache high-water marks, the journal delta, and the
-    metrics snapshot, so the parent can merge worker cache statistics,
-    wall-clock spans, peak memo footprints, flight-recorder events, and
-    labeled instruments into its own context (``BENCH_sweep.json``
-    would otherwise under-report hits/misses, lose per-schema timings,
-    and show ``eval_memo: 0`` for parallel runs whose evaluators die
-    with their shard).
+    Returns the shard report and the store's ``delta()`` — counters,
+    cache high-water marks, span aggregates and samples, journal events
+    and labeled instruments — which the parent absorbs
+    (``BENCH_sweep.json`` would otherwise under-report hits/misses,
+    lose per-schema timings, and show ``eval_memo: 0`` for parallel
+    runs whose evaluators die with their shard).
     """
     shard_ctx = context.fresh(f"sweep-shard:{schema_names[0]}",
                               corr_id=corr_id)
@@ -516,9 +512,7 @@ def _sweep_shard(
             system, schemas, goodruns, max_instances_per_schema,
             pattern_hide, max_violations_per_schema, engine, backend,
         )
-    return (report, shard_ctx.counter_delta(), shard_ctx.span_delta(),
-            dict(shard_ctx.cache_peaks), shard_ctx.journal_delta(),
-            shard_ctx.metrics_delta())
+    return report, shard_ctx.telemetry.delta()
 
 
 def _sweep_parallel(
@@ -592,19 +586,15 @@ def _sweep_parallel(
     # Merge in submission order: (system, schema-slice) order matches
     # the sequential sweep, so totals, violation lists, and renders are
     # identical to workers=1.
-    for index, shard_result in enumerate(results):
-        (report, counter_delta, span_delta, peaks,
-         journal_delta, metrics_delta) = shard_result
+    store = context.current().telemetry
+    for index, (report, delta) in enumerate(results):
         total.merge(report)
-        perf.merge_counters(counter_delta)
-        spans.merge(span_delta)
-        perf.merge_cache_peaks(peaks)
-        journal.merge(journal_delta)
-        metrics.registry().merge(metrics_delta)
+        store.absorb(delta)
         journal.record(
             "shard_merge", shard=index,
             schemas=",".join(shards[index][1]),
-            events=len(journal_delta),
-            counters=len(counter_delta), spans=len(span_delta),
+            events=len(delta["journal"]["items"]),
+            counters=len(delta["counters"]),
+            spans=len(delta["spans"]["items"]),
         )
     return total

@@ -31,10 +31,14 @@ and (messages)::
 
 Identifiers resolve through a :class:`~repro.terms.vocabulary.Vocabulary`.
 
-Two guards keep hostile input cheap.  Nesting deeper than
+Three guards keep hostile input cheap.  Nesting deeper than
 :data:`MAX_NESTING` levels (parentheses, ``believes`` chains, nested
 ciphertexts, ...) is a :class:`~repro.errors.ParseError`, raised well
-before the interpreter's recursion limit.  And every ``parse_message``
+before the interpreter's recursion limit.  Connective chains
+(``a & b & ...``) parse in loops, not recursion, but build one AST level
+per operand, and every later walk of the formula (printing, compiling,
+tracing) recurses on that height: a formula taller than
+:data:`MAX_DEPTH` is a ``ParseError`` too.  And every ``parse_message``
 result (or failure) is memoized by start position: the formula-first,
 term-second backtracking would otherwise re-parse each nested message
 twice per level, exponential in the nesting depth.
@@ -70,6 +74,7 @@ from repro.terms.formulas import (
     SharedSecret,
 )
 from repro.terms.messages import Combined, Encrypted, Forwarded, Group
+from repro.terms.ops import depth
 from repro.terms.vocabulary import Vocabulary
 
 _SYMBOLS = ("<->", "->", "<-", "(", ")", "{", "}", ",", "~", "&", "|", "_",
@@ -79,6 +84,11 @@ _SYMBOLS = ("<->", "->", "<-", "(", ")", "{", "}", ",", "~", "&", "|", "_",
 #: Python frames, so a maximal input stays far inside the default
 #: recursion limit.
 MAX_NESTING = 64
+
+#: Tallest formula AST the parser builds, connective chains included.
+#: The recursive walks downstream cost about three frames per level, so
+#: this keeps them near a third of the default recursion limit.
+MAX_DEPTH = 128
 
 _SORT_NAMES = {
     "principal": Sort.PRINCIPAL,
@@ -124,7 +134,8 @@ def _tokenize(text: str) -> Iterator[_Token]:
 
 
 class _TooDeep(ParseError):
-    """Nesting past :data:`MAX_NESTING`: fatal, never backtracked over."""
+    """Nesting past :data:`MAX_NESTING` or :data:`MAX_DEPTH`: fatal,
+    never backtracked over."""
 
 
 class _Parser:
@@ -185,6 +196,22 @@ class _Parser:
                 token.position,
             )
 
+    def bounded(self, formula: Formula) -> Formula:
+        """Check a freshly built connective against :data:`MAX_DEPTH`.
+
+        Called on every chain link as it is built, so ``depth`` (memoized
+        per node) never recurses more than one level.
+        """
+        if depth(formula) > MAX_DEPTH:
+            token = self.peek()
+            raise _TooDeep(
+                f"formula nesting deeper than {MAX_DEPTH} levels "
+                f"at {token.position}",
+                self.text,
+                token.position,
+            )
+        return formula
+
     # -- formulas ----------------------------------------------------------
 
     def parse_formula(self) -> Formula:
@@ -194,8 +221,7 @@ class _Parser:
         left = self._imp()
         while self.at("<->"):
             self.advance()
-            right = self._imp()
-            left = Iff(left, right)
+            left = self.bounded(Iff(left, self._imp()))
         return left
 
     def _imp(self) -> Formula:
@@ -207,21 +233,21 @@ class _Parser:
             operands.append(self._or())
         formula = operands.pop()
         while operands:
-            formula = Implies(operands.pop(), formula)
+            formula = self.bounded(Implies(operands.pop(), formula))
         return formula
 
     def _or(self) -> Formula:
         left = self._and()
         while self.at("|"):
             self.advance()
-            left = Or(left, self._and())
+            left = self.bounded(Or(left, self._and()))
         return left
 
     def _and(self) -> Formula:
         left = self._unary()
         while self.at("&"):
             self.advance()
-            left = And(left, self._unary())
+            left = self.bounded(And(left, self._unary()))
         return left
 
     def _unary(self) -> Formula:

@@ -86,10 +86,10 @@ class TestStateRouting:
         with context.scoped() as ctx:
             with spans.span("routing.span"):
                 pass
-            assert [s["name"] for s in ctx.span_delta()] == ["routing.span"]
+            assert [s["name"] for s in ctx.spans.snapshot()] == ["routing.span"]
         assert not any(
             s["name"] == "routing.span"
-            for s in context.DEFAULT.span_delta()
+            for s in context.DEFAULT.spans.snapshot()
         )
 
     def test_pickle_reinterns_into_the_receiving_context(self):
@@ -178,7 +178,7 @@ class TestSweepIsolation:
         from repro.logic.axioms import AXIOMS
 
         for ctx in (ctx_a, ctx_b):
-            names = [s["name"] for s in ctx.span_delta()]
+            names = [s["name"] for s in ctx.spans.snapshot()]
             assert names.count("sweep.schema") == len(AXIOMS)
         keys_a = set(ctx_a.intern_table.keys())
         values_a = {id(v) for v in ctx_a.intern_table.values()}
@@ -279,8 +279,8 @@ class TestAsyncSiblingIsolation:
                     "corr_id": ctx.corr_id,
                     "verdicts": verdicts,
                     "counters": dict(ctx.counters),
-                    "journal": ctx.journal_delta(),
-                    "spans": ctx.span_delta(),
+                    "journal": ctx.journal.snapshot(),
+                    "spans": ctx.spans.snapshot(),
                 }
 
         async def main(results):

@@ -182,8 +182,7 @@ class TestContextTransport:
             shard = context.fresh("shard")
             with context.use(shard):
                 jr.record("cache_evict", layer="hide")
-            home.absorb(journal=shard.journal_delta(),
-                        metrics=shard.metrics_delta())
+            home.telemetry.absorb(shard.telemetry.delta())
             (event,) = jr.snapshot()
             assert event["kind"] == "cache_evict"
             assert event["corr"] == "req-ship"

@@ -147,6 +147,10 @@ class TestMerge:
             registry.merge({"x": {"kind": "mystery", "samples": []}})
 
 
+#: Raw durations behind the golden ``sweep.schema`` row: its quantiles
+#: are the log-bucket estimates ``summarize`` derives from them.
+GOLDEN_SPAN_SECONDS = (0.1, 0.125, 0.075, 0.2)
+
 GOLDEN_SNAPSHOT = {
     "meta": {"command": "test", "git_sha": "abc123", "python": "3.11"},
     "perf": {
@@ -157,10 +161,11 @@ GOLDEN_SNAPSHOT = {
     },
     "spans": {
         "sweep.schema": {
-            "count": 4, "total_s": 0.5, "min_s": 0.1, "max_s": 0.2,
-            "p50_s": 0.125, "p95_s": 0.2, "p99_s": 0.2,
+            "count": 4, "total_s": 0.5, "min_s": 0.075, "max_s": 0.2,
+            "p50_s": 0.10107, "p95_s": 0.2, "p99_s": 0.2,
         },
     },
+    "span_ring": {"events": 1024, "dropped": 7, "capacity": 1024},
     "journal": {"events": 3, "dropped": 1, "capacity": 4096},
     "instruments": {
         "sweep_instances": {
@@ -202,20 +207,29 @@ repro_cache_entries{cache="intern"} 7
 # HELP repro_cache_peak_entries High-water mark of each registered cache.
 # TYPE repro_cache_peak_entries gauge
 repro_cache_peak_entries{cache="intern"} 9
-# HELP repro_span_duration_seconds Wall-clock span percentiles (nearest-rank).
+# HELP repro_span_duration_seconds Wall-clock span quantiles (from log buckets).
 # TYPE repro_span_duration_seconds summary
-repro_span_duration_seconds{quantile="0.5",span="sweep.schema"} 0.125
+repro_span_duration_seconds{quantile="0.5",span="sweep.schema"} 0.10107
 repro_span_duration_seconds{quantile="0.95",span="sweep.schema"} 0.2
 repro_span_duration_seconds{quantile="0.99",span="sweep.schema"} 0.2
 repro_span_duration_seconds_sum{span="sweep.schema"} 0.5
 repro_span_duration_seconds_count{span="sweep.schema"} 4
-# HELP repro_journal_events Events currently retained in the flight-recorder ring.
+# HELP repro_span_ring_events Raw span samples currently retained in the bounded ring.
+# TYPE repro_span_ring_events gauge
+repro_span_ring_events 1024
+# HELP repro_span_ring_dropped_total Raw span samples discarded by the bounded ring.
+# TYPE repro_span_ring_dropped_total counter
+repro_span_ring_dropped_total 7
+# HELP repro_span_ring_capacity Raw span samples the bounded ring holds at most.
+# TYPE repro_span_ring_capacity gauge
+repro_span_ring_capacity 1024
+# HELP repro_journal_events Flight-recorder events currently retained in the bounded ring.
 # TYPE repro_journal_events gauge
 repro_journal_events 3
-# HELP repro_journal_dropped_total Events discarded by the bounded ring.
+# HELP repro_journal_dropped_total Flight-recorder events discarded by the bounded ring.
 # TYPE repro_journal_dropped_total counter
 repro_journal_dropped_total 1
-# HELP repro_journal_capacity Flight-recorder ring capacity.
+# HELP repro_journal_capacity Flight-recorder events the bounded ring holds at most.
 # TYPE repro_journal_capacity gauge
 repro_journal_capacity 4096
 # HELP repro_fuzz_iteration_seconds Wall-clock per fuzz iteration.
@@ -244,6 +258,12 @@ class TestExporters:
         # Byte-exact: the exporter sorts families, samples, and labels,
         # so a fixed snapshot must always render these exact lines.
         assert metrics.to_prometheus(GOLDEN_SNAPSHOT) == GOLDEN_EXPOSITION
+        # The golden span row is what the bucket aggregates give.
+        from repro.obs.spans import summarize
+
+        assert summarize(
+            {"name": "sweep.schema", "seconds": s} for s in GOLDEN_SPAN_SECONDS
+        ) == GOLDEN_SNAPSHOT["spans"]
 
     def test_every_line_is_valid_exposition(self):
         text = metrics.to_prometheus(GOLDEN_SNAPSHOT)

@@ -1,9 +1,10 @@
 """Tests for the span half of the observability layer.
 
-The recorder is pinned in isolation (timing, percentiles, the
-mark/delta/merge transport contract, derived views), then against its
-real consumer: the parallel soundness sweep must surface exactly the
-same per-schema spans at ``workers=4`` as at ``workers=1``.
+The recorder is pinned in isolation (timing, bucket quantiles, the
+bounded raw ring, the mark/delta/merge and aggregate absorb transport,
+derived views), then against its real consumer: the parallel soundness
+sweep must surface exactly the same per-schema spans at ``workers=4``
+as at ``workers=1``.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import threading
 
 import pytest
 
-from repro.obs.spans import SpanRecorder, percentile, summarize
+from repro.obs.spans import SpanRecorder, summarize
 from repro.obs import spans as global_spans
+from repro.obs.store import bucket_edge, bucket_index
 
 
 class TestRecorder:
@@ -105,15 +107,67 @@ class TestTransport:
         assert sink.snapshot()[0]["seconds"] == 1.0
 
 
+class TestBounds:
+    def test_ring_is_capped_and_counts_drops(self):
+        recorder = SpanRecorder(capacity=8)
+        for index in range(50):
+            recorder.record("tick", 0.001, index=index)
+        assert len(recorder) == 8
+        assert recorder.dropped == 42
+        assert [s["attrs"]["index"] for s in recorder.snapshot()] == list(
+            range(42, 50))
+        # The aggregates saw every span, not just the retained ones.
+        assert recorder.summary()["tick"]["count"] == 50
+
+    def test_marks_survive_ring_wrap(self):
+        recorder = SpanRecorder(capacity=3)
+        recorder.record("old", 0.1)
+        mark = recorder.mark()
+        for index in range(5):
+            recorder.record("new", 0.1, index=index)
+        assert [s["attrs"]["index"] for s in recorder.delta_since(mark)] == [
+            2, 3, 4]
+
+    def test_absorb_adds_aggregates_and_keeps_drops_honest(self):
+        # Aggregates merge by addition: absorbing shards in any order
+        # equals recording everything in one recorder.
+        sequential = SpanRecorder(capacity=4)
+        shards = [SpanRecorder(capacity=4) for _ in range(3)]
+        for index, shard in enumerate(shards):
+            for n in range(index + 3):
+                for recorder in (sequential, shard):
+                    recorder.record("work", (n + 1) / 100, engine="e")
+        merged = SpanRecorder(capacity=4)
+        for shard in reversed(shards):
+            merged.absorb(shard.transport())
+        assert merged.summary() == sequential.summary()
+        assert merged.summary("engine") == sequential.summary("engine")
+        assert merged.histogram("work") == sequential.histogram("work")
+        # Every span is either retained or counted as dropped.
+        total = merged.summary()["work"]["count"]
+        assert len(merged) == 4
+        assert len(merged) + merged.dropped == total
+
+
 class TestViews:
-    def test_percentile_nearest_rank(self):
-        durations = [float(n) for n in range(1, 101)]
-        assert percentile(durations, 50) == 50.0
-        assert percentile(durations, 95) == 95.0
-        assert percentile(durations, 99) == 99.0
-        assert percentile([7.0], 99) == 7.0
-        with pytest.raises(ValueError):
-            percentile([], 50)
+    def test_bucket_quantiles_within_one_bucket(self):
+        # Quantiles come from the log buckets: nearest-rank over bucket
+        # counts, reported as the bucket's upper edge clamped to the
+        # exact [min, max].  One bucket is 2**(1/8) wide (~9%).
+        recorder = SpanRecorder()
+        for n in range(1, 101):
+            recorder.record("d", n / 1000)
+        row = recorder.summary()["d"]
+        assert row["count"] == 100
+        assert row["min_s"] == 0.001 and row["max_s"] == 0.1
+        for key, exact in (("p50_s", 0.050), ("p95_s", 0.095),
+                           ("p99_s", 0.099)):
+            assert exact <= row[key] <= exact * 2 ** (1 / 8) + 1e-6
+        single = SpanRecorder()
+        single.record("one", 0.7)
+        assert single.summary()["one"]["p99_s"] == 0.7
+        assert bucket_index(bucket_edge(40)) == 40
+        assert bucket_index(0.0) == 0
 
     def test_summarize_groups_by_name(self):
         samples = [
@@ -137,6 +191,21 @@ class TestViews:
         edges = [edge for edge, _count in buckets]
         assert edges == sorted(edges)
         assert recorder.histogram("missing") == []
+
+    def test_group_by_engine_splits_and_folds_exactly(self):
+        recorder = SpanRecorder()
+        recorder.record("stage", 0.1, engine="naive")
+        recorder.record("stage", 0.3, engine="worklist")
+        recorder.record("stage", 0.2)
+        grouped = recorder.summary(group_by="engine")
+        assert set(grouped) == {"stage", "stage{engine=naive}",
+                                "stage{engine=worklist}"}
+        folded = recorder.summary()["stage"]
+        assert folded["count"] == 3
+        assert folded["total_s"] == 0.6
+        assert (folded["min_s"], folded["max_s"]) == (0.1, 0.3)
+        with pytest.raises(ValueError):
+            recorder.summary(group_by="schema")
 
     def test_render_mentions_every_name(self):
         recorder = SpanRecorder()
@@ -179,6 +248,27 @@ class TestSweepSpans:
         # parent-side pool span.
         assert parallel == sequential
         assert len(sequential) > 0
+
+    def test_workers_4_aggregates_match_workers_1(self):
+        # Shards ship aggregates home and the parent adds them: the
+        # merged counts (per name and engine) are exactly workers=1's.
+        from repro import context
+        from repro.soundness import generate_systems, sweep_systems
+
+        systems = generate_systems(2, base_seed=1)
+
+        def counts(workers):
+            with context.scoped(f"aggregates-{workers}") as ctx:
+                sweep_systems(systems, max_instances_per_schema=8,
+                              workers=workers)
+                return {
+                    name: row["count"]
+                    for name, row in ctx.spans.summary("engine").items()
+                    if name.startswith("sweep.schema")
+                }
+
+        sequential = counts(1)
+        assert sequential and sequential == counts(4)
 
     def test_parallel_sweep_adds_pool_span(self):
         from repro.soundness import generate_systems, sweep_systems

@@ -62,6 +62,18 @@ class TestMergeCounters:
         assert perf.counters["other.miss"] == 1
 
 
+class TestSnapshot:
+    def test_snapshot_sizes_each_cache_once(self, monkeypatch):
+        # One sizing pass feeds both the peaks and ``cache_sizes``.
+        calls = []
+        monkeypatch.setitem(perf._cache_sizers, "probe",
+                            lambda: calls.append(1) or 7)
+        snapshot = perf.snapshot()
+        assert calls == [1]
+        assert snapshot["cache_sizes"]["probe"] == 7
+        assert snapshot["cache_peaks"]["probe"] >= 7
+
+
 class TestParallelSweepCounters:
     def _shards(self, system, workers):
         names = _schema_names(tuple(AXIOMS.values()))
@@ -90,10 +102,9 @@ class TestParallelSweepCounters:
         # the expected totals are the merged deltas.
         perf.reset_counters()
         for shard_system, group in shards:
-            _report, delta, _spans, _peaks, _journal, _metrics = (
-                _sweep_shard(shard_system, group, None, 12, False, 25)
-            )
-            perf.merge_counters(delta)
+            _report, delta = _sweep_shard(
+                shard_system, group, None, 12, False, 25)
+            perf.merge_counters(delta["counters"])
         expected = self._eval_memo_events(perf.counters)
 
         perf.reset_counters()
@@ -110,14 +121,16 @@ class TestParallelSweepCounters:
         system = generate_system(GeneratorConfig(seed=11))
         (shard_system, group) = self._shards(system, 1)[0]
         perf.count("preexisting.hit", 99)
-        _report, delta, span_delta, _peaks, _journal, _metrics = (
-            _sweep_shard(shard_system, group, None, 5, False, 25)
-        )
-        assert "preexisting.hit" not in delta
-        assert any(event.startswith("compiled_eval.") for event in delta)
+        _report, delta = _sweep_shard(shard_system, group, None, 5, False, 25)
+        counters = delta["counters"]
+        assert "preexisting.hit" not in counters
+        assert any(event.startswith("compiled_eval.") for event in counters)
         # The span delta is likewise shard-local: one sweep.schema span
-        # per schema in the slice, nothing from before the mark.
-        assert [s["name"] for s in span_delta].count("sweep.schema") == len(group)
+        # per schema in the slice, in the aggregates and the raw ring.
+        samples = delta["spans"]["items"]
+        assert [s["name"] for s in samples].count("sweep.schema") == len(group)
+        assert delta["spans"]["aggregates"][("sweep.schema", "compiled")][0] == (
+            len(group))
 
     def test_bench_snapshot_includes_worker_counters(self):
         system = generate_system(GeneratorConfig(seed=4))

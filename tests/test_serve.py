@@ -128,6 +128,20 @@ class TestRoundTrip:
                 assert "ParseError" in body["error"]
                 assert "nesting" in body["error"]
 
+    def test_wide_connective_chains_get_400(self):
+        # Both once raised RecursionError in Formula.__str__ and the
+        # compiled engine's walk: a 500.  Chains parse in loops, so the
+        # parser now bounds the AST height they build.
+        @_serve_test(ServeConfig())
+        async def daemon(daemon, host, port):
+            for formula in (" & ".join(["P1 sees N1"] * 400),
+                            " | ".join(["p0"] * 1000)):
+                status, body = await _post(dict(SMALL_SYSTEM, formula=formula),
+                                           host, port)
+                assert status == 400, body
+                assert "ParseError" in body["error"]
+                assert "nesting" in body["error"]
+
     def test_unknown_endpoint_and_method(self):
         @_serve_test(ServeConfig())
         async def daemon(daemon, host, port):
@@ -253,7 +267,7 @@ class TestGracefulShutdown:
         assert sum(absorbed.values()) > 0
 
         # And the journal kept the story, under per-request corr IDs.
-        events = daemon.root.journal_delta()
+        events = daemon.root.journal.snapshot()
         kinds = [event["kind"] for event in events]
         assert "serve_start" in kinds
         assert "serve_stop" in kinds
@@ -287,6 +301,21 @@ class TestBackends:
 
         assert daemon.root.counters.get("serve.backend.belief", 0) >= 1
         assert daemon.root.counters.get("serve.backend.epistemic", 0) >= 1
+
+    def test_unknown_backends_leave_no_root_counter(self):
+        # Unvalidated names must not mint counters: each would stay in
+        # /stats and /metrics for the daemon's lifetime.
+        @_serve_test(ServeConfig())
+        async def daemon(daemon, host, port):
+            for index in range(30):
+                status, _body = await _post(
+                    dict(SMALL_SYSTEM, backend=f"bogus-{index}"), host, port)
+                assert status == 400
+            status, stats = await _get("/stats", host, port)
+            assert status == 200
+            assert not any("bogus" in name for name in stats["counters"])
+
+        assert not any("bogus" in name for name in daemon.root.counters)
 
     def test_unknown_backend_is_a_clean_400(self):
         @_serve_test(ServeConfig())

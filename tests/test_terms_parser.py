@@ -181,12 +181,29 @@ class TestHostileInput:
         assert chain == Prim(PROPS[0])
 
     def test_long_implication_chain_needs_no_recursion(self):
-        formula = parse_formula(" -> ".join(["p"] * 2000), VOCAB)
+        # The chain folds in a loop; too tall a result is a clean
+        # ParseError (checked link by link), never a RecursionError.
+        formula = parse_formula(" -> ".join(["p"] * 100), VOCAB)
         depth = 0
         while isinstance(formula, Implies):
             depth += 1
             formula = formula.consequent
-        assert depth == 1999
+        assert depth == 99
+        with pytest.raises(ParseError, match="nesting"):
+            parse_formula(" -> ".join(["p"] * 2000), VOCAB)
+
+    @pytest.mark.parametrize("operator", ["&", "|", "<->"])
+    def test_wide_connective_chains_are_a_parse_error(self, operator):
+        # Binary chains build one AST level per operand; every walk of
+        # the formula (str, compile, trace) recurses on that height.
+        from repro.terms.parser import MAX_DEPTH
+        from repro.terms.ops import depth
+
+        fits = parse_formula(f" {operator} ".join(["p"] * 100), VOCAB)
+        assert depth(fits) <= MAX_DEPTH
+        assert str(fits)  # printing recurses on the height
+        with pytest.raises(ParseError, match="nesting"):
+            parse_formula(f" {operator} ".join(["p"] * 1000), VOCAB)
 
     def test_nested_ciphertexts_parse_in_linear_time(self):
         import time

@@ -6,9 +6,12 @@ Boots an in-process :class:`repro.serve.AnalysisDaemon`, drives it with
 requests over one keep-alive :class:`repro.serve.ServeClient` apiece
 (same generated system, so the daemon's batching has something to
 batch), and writes ``BENCH_serve.json``: nearest-rank p50/p95/p99
-latency, sustained requests/s, error count, the compiled-cache hit
-rate the batch sharing achieved, and how many requests rode reused
-connections.  Wired into ``tools/bench_gate.py``
+latency, sustained requests/s, error and 5xx counts, the compiled-cache
+hit rate the batch sharing achieved, how many requests rode reused
+connections, and the soak figures of the daemon's bounded telemetry —
+``/metrics`` scrape latency before and after the load, and the root
+context's raw-span ring length against its capacity.  Wired into
+``tools/bench_gate.py``
 (CI gates the latency percentiles against comparable history)::
 
     PYTHONPATH=src python tools/bench_serve.py --clients 4 --requests 25
@@ -43,6 +46,19 @@ def percentile(sorted_values: list[float], fraction: float) -> float:
     return sorted_values[min(rank, len(sorted_values)) - 1]
 
 
+def scrape_ms(host, port, repeats: int = 5) -> float:
+    """Best-of-``repeats`` latency of one ``GET /metrics``, in ms."""
+    best = float("inf")
+    with client.ServeClient(host, port, timeout=120.0) as conn:
+        for _ in range(repeats):
+            started = time.perf_counter()
+            status, _body = conn.get("/metrics")
+            if status != 200:
+                raise RuntimeError(f"/metrics answered {status}")
+            best = min(best, time.perf_counter() - started)
+    return round(best * 1000, 3)
+
+
 def _client_loop(host, port, payload, count, latencies, errors, barrier,
                  reuse):
     conn = client.ServeClient(host, port, timeout=120.0)
@@ -59,7 +75,7 @@ def _client_loop(host, port, payload, count, latencies, errors, barrier,
             if status == 200:
                 latencies.append(elapsed)
             else:
-                errors.append(f"status {status}")
+                errors.append(status)
         reuse.append((conn.connections_opened, conn.requests_sent,
                       conn.connections_reused))
 
@@ -100,8 +116,9 @@ def run_load(args) -> dict:
         "formula": "P1 believes p0",
         "backend": args.backend,
     }
+    metrics_start_ms = scrape_ms(host, port)
     latencies: list[float] = []
-    errors: list[str] = []
+    errors: list = []
     reuse: list[tuple[int, int, int]] = []
     barrier = threading.Barrier(args.clients + 1)
     clients = [
@@ -120,6 +137,8 @@ def run_load(args) -> dict:
     for worker in clients:
         worker.join()
     wall_s = time.perf_counter() - wall_started
+    metrics_end_ms = scrape_ms(host, port)
+    ring = daemon.root.spans
 
     asyncio.run_coroutine_threadsafe(
         daemon.shutdown(drain=True), loop).result(timeout=60)
@@ -139,12 +158,19 @@ def run_load(args) -> dict:
         "total_requests": args.clients * args.requests,
         "completed": completed,
         "errors": len(errors),
+        "server_errors": sum(1 for e in errors
+                             if isinstance(e, int) and e >= 500),
         "compiled_hit_rate": round(hits / (hits + misses), 6)
         if hits + misses else 0.0,
         "batches": counters.get("serve.batches", 0),
         "batched_requests": counters.get("serve.batched_requests", 0),
         "connections_opened": sum(opened for opened, _sent, _r in reuse),
         "connections_reused": sum(r for _opened, _sent, r in reuse),
+        "metrics_scrape_start_ms": metrics_start_ms,
+        "metrics_scrape_end_ms": metrics_end_ms,
+        "span_ring_len": len(ring),
+        "span_ring_capacity": ring.capacity,
+        "span_ring_dropped": ring.dropped,
     }
     return {
         "daemon": daemon,
@@ -208,10 +234,14 @@ def main(argv=None) -> int:
           f"p99 {measurements['latency_p99_ms']}ms, "
           f"compiled hit rate {measurements['compiled_hit_rate']}, "
           f"{measurements['connections_reused']} requests on reused "
-          f"connections ({measurements['connections_opened']} opened)")
+          f"connections ({measurements['connections_opened']} opened), "
+          f"/metrics {measurements['metrics_scrape_start_ms']}ms -> "
+          f"{measurements['metrics_scrape_end_ms']}ms, span ring "
+          f"{measurements['span_ring_len']}/"
+          f"{measurements['span_ring_capacity']}")
     if result["errors"]:
         for error in result["errors"][:10]:
-            print(f"bench_serve: error: {error}", file=sys.stderr)
+            print(f"bench_serve: error: {error!r}", file=sys.stderr)
         return 1
     return 0
 

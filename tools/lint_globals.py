@@ -3,10 +3,10 @@
 
 PR 5 moved every piece of per-session engine state — intern table,
 semantic-kernel memos, perf counters, span buffer, evaluator registry —
-onto :class:`repro.context.EngineContext`; the telemetry PR added the
-metrics registry (``repro.obs.metrics``) and the event journal
-(``repro.obs.journal``) under the same ownership (lazy ``ctx.metrics``
-/ ``ctx.journal`` slots, no module-level instances).  This lint keeps
+onto :class:`repro.context.EngineContext`; all telemetry — counters,
+span aggregates and ring, journal, labeled metrics — now lives in the
+context's one ``TelemetryStore`` (``repro.obs.store``), with no
+module-level instances.  This lint keeps
 it that way: a module-level assignment whose value is a mutable
 container
 (``{}``, ``[]``, ``set()``, ``dict()``, ``defaultdict(...)``,
@@ -46,7 +46,6 @@ ALLOWLIST: frozenset[str] = frozenset(
         "repro/perf.py:_cache_clearers",
         "repro/perf.py:_cache_sizers",
         "repro/terms/intern.py:_FIELD_NAMES",  # per-class metadata
-        "repro/obs/metrics.py:_HANDLE_TYPES",  # kind -> handle dispatch
         "repro/terms/parser.py:_SORT_NAMES",  # keyword table
         "repro/logic/axioms.py:AXIOMS",
         "repro/logic/certify.py:_PROJECTION_RULES",  # rule-name constants
