@@ -177,7 +177,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         systems,
         max_instances_per_schema=args.instances,
         workers=args.workers,
-        engine=args.engine,
         backend=args.backend,
     )
     print(report.render())
@@ -336,13 +335,12 @@ def _cmd_obs(args: argparse.Namespace) -> int:
                 systems,
                 max_instances_per_schema=args.instances,
                 workers=args.workers,
-                engine=args.engine,
             )
             snapshot = metrics.unified_snapshot(
                 meta=run_metadata(
                     command="obs", systems=args.systems,
                     instances=args.instances, seed=args.seed,
-                    workers=args.workers, engine=args.engine,
+                    workers=args.workers,
                 )
             )
             if args.journal is not None:
@@ -542,10 +540,6 @@ def main(argv: list[str] | None = None) -> int:
         help="process-pool workers for the sweep (1 = in-process)",
     )
     sweep_parser.add_argument(
-        "--engine", choices=["compiled", "interpreted"], default="compiled",
-        help="evaluation engine for the sweep (default: compiled)",
-    )
-    sweep_parser.add_argument(
         "--backend", default="belief",
         help="semantics backend from the context registry "
              "(belief, epistemic; default: belief)",
@@ -582,9 +576,6 @@ def main(argv: list[str] | None = None) -> int:
     obs_parser.add_argument(
         "--workers", type=int, default=1,
         help="process-pool workers for the sweep workload",
-    )
-    obs_parser.add_argument(
-        "--engine", choices=["compiled", "interpreted"], default="compiled",
     )
     obs_parser.add_argument(
         "--format", choices=["prometheus", "json"], default="prometheus",

@@ -23,7 +23,9 @@ checkable invariants:
   so everything that survived the staged filters survives the replay
   against the final (smaller) vector.
 * **engine agreement** — the worklist and naive engines produce
-  byte-identical stage tuples.
+  byte-identical stage tuples, under the belief and the epistemic
+  backend alike (the naive engine evaluates through the backend's
+  interpreter, so this compares the bitset engine with the reference).
 * **optimality** (Theorem 3) — on small systems with depth-1
   run-constant assumptions (where I2 is vacuous and the theorem's
   premises hold), the constructed vector equals the brute-force
@@ -247,20 +249,28 @@ def check_goodruns_construction(
             )
         )
 
-    # Engine differential: worklist and naive stages are byte-identical.
+    # Engine differential: worklist and naive stages are byte-identical,
+    # under each backend (the invariants above are the paper's, so they
+    # stay belief-only).
     if default_engine:
-        naive = construct_good_runs(
-            system, assumptions, pattern_hide=pattern_hide, engine="naive"
-        )
-        if naive.stages != result.stages:
-            failures.append(
-                OracleFailure(
-                    "goodruns_engines",
-                    "worklist stages diverge from the naive loop: "
-                    f"{[s.describe() for s in result.stages]} vs "
-                    f"{[s.describe() for s in naive.stages]}",
-                )
+        for backend in ("belief", "epistemic"):
+            worklist = result if backend == "belief" else construct_good_runs(
+                system, assumptions, pattern_hide=pattern_hide,
+                backend=backend,
             )
+            naive = construct_good_runs(
+                system, assumptions, pattern_hide=pattern_hide,
+                engine="naive", backend=backend,
+            )
+            if naive.stages != worklist.stages:
+                failures.append(
+                    OracleFailure(
+                        "goodruns_engines",
+                        f"{backend} worklist stages diverge from the naive "
+                        f"loop: {[s.describe() for s in worklist.stages]} vs "
+                        f"{[s.describe() for s in naive.stages]}",
+                    )
+                )
 
     # Theorem 3 (brute force): only where its premises provably hold —
     # depth ≤ 1 (I2 vacuous, bodies belief-free and run-constant by the

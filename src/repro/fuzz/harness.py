@@ -252,14 +252,18 @@ def _shrunk_counterexample(
     )
 
 
-def _failure_trace(system: System, failure: OracleFailure) -> list[str]:
+def _failure_trace(
+    system: System, failure: OracleFailure, **setting
+) -> list[str]:
     """Best-effort "why" proof-tree for a differential-oracle failure.
 
     The failure records the violated instance as a string; when it
     round-trips through the parser against the system's vocabulary, a
     fresh traced evaluation explains the verdict the oracle objected
-    to.  Anything unparseable (or un-evaluable) yields no trace rather
-    than masking the original failure.
+    to.  ``setting`` (``goodruns``, ``pattern_hide``, ``backend``) is
+    the failing check's, passed on to :func:`trace_evaluation`.
+    Anything unparseable (or un-evaluable) yields no trace rather than
+    masking the original failure.
     """
     if (
         failure.formula is None
@@ -272,7 +276,9 @@ def _failure_trace(system: System, failure: OracleFailure) -> list[str]:
 
         formula = parse_formula(failure.formula, system.vocabulary)
         run = system.run(failure.run_name)
-        _verdict, root = trace_evaluation(system, formula, run, failure.time)
+        _verdict, root = trace_evaluation(
+            system, formula, run, failure.time, **setting
+        )
         return render_why(root).splitlines()
     except Exception:  # pragma: no cover - diagnostics must not throw
         return []
@@ -701,26 +707,48 @@ def _fuzz_iteration(
 
     # Compiled-vs-interpreted engine differential: the fast path the
     # sweep/audit/replay loops adopted must stay byte-identical to the
-    # interpreter, under both hide variants.
+    # interpreter, under both hide variants, and under each backend at
+    # a seeded restricting good-run vector.  The vector cases query one
+    # shared compilation at None -> vector -> None, so a memo that
+    # ignores the vector serves a stale bitset on the way back.  The
+    # vector comes from its own RNG: the iteration's stream, which the
+    # later oracles draw from, stays as it was.
     if "compiled" in enabled and formulas and points:
-        checks = len(formulas) * len(points) * 2
+        vector = sample_goodrun_vector(
+            random.Random(f"compiled:{config.seed}:{iteration}"), system
+        )
+        cases = [("belief", None, True)] + [
+            (backend, goodruns, False)
+            for backend in ("belief", "epistemic")
+            for goodruns in (None, vector, None)
+        ]
+        checks = len(formulas) * len(points) * len(cases)
         report.count_check("compiled_vs_interpreted", checks)
         with spans.span("fuzz.compiled", checks=checks):
-            compiled_failures = check_compiled_differential(
-                system, formulas, points
-            ) + check_compiled_differential(
-                system, formulas, points, pattern_hide=True
-            )
+            compiled_failures = [
+                (failure, case)
+                for case in cases
+                for failure in check_compiled_differential(
+                    system, formulas, points, goodruns=case[1],
+                    pattern_hide=case[2], backend=case[0],
+                )
+            ]
         journal.record("oracle_verdict", oracle="compiled_vs_interpreted",
                        checks=checks, failures=len(compiled_failures))
-        for failure in compiled_failures:
+        for failure, (backend, goodruns, pattern_hide) in compiled_failures:
             run = system.run(failure.run_name) if failure.run_name else None
             report.counterexamples.append(
                 Counterexample(
                     iteration=iteration,
                     failure=failure,
                     script=describe_run(run) if run is not None else [],
-                    trace=_failure_trace(system, failure),
+                    # The interpreter's why-false tree in the failing
+                    # case's setting, the verdict the compiled engine
+                    # contradicted.
+                    trace=_failure_trace(
+                        system, failure, goodruns=goodruns,
+                        pattern_hide=pattern_hide, backend=backend,
+                    ),
                 )
             )
 
@@ -764,7 +792,7 @@ def _fuzz_iteration(
     # through the Theorem 2/3 pipeline.  The whole check — the
     # construction, both engines, and the brute-force optimality
     # search — runs in its own ephemeral context (the enumeration warms
-    # per-vector caches no later oracle wants), with counters and
+    # vector-keyed belief bitsets no later oracle wants), with counters and
     # spans (the per-stage ``goodruns.stage`` telemetry) absorbed back
     # into the iteration's context for the campaign report.
     if "goodruns_construction" in enabled:

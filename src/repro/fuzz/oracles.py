@@ -397,23 +397,36 @@ def check_compiled_differential(
     points: Sequence[tuple[Run, int]],
     goodruns=None,
     pattern_hide: bool = False,
+    backend: str = "belief",
 ) -> list[OracleFailure]:
     """Compiled engine vs. the interpreter: byte-identical verdicts.
 
-    Every (formula, point) pair is evaluated by both engines — the
-    recursive :class:`Evaluator` and the bitset
+    Every (formula, point) pair is evaluated by both engines of one
+    backend — its recursive interpreter and the bitset
     :class:`~repro.semantics.compiler.CompiledSystem` — and both the
     truth verdict *and* the error outcome must match exactly.  This is
     the safety net under the compiled hot path: the sweep, the audit,
-    and the engine-replay oracle all route through compilation, so any
-    divergence here is a soundness bug, not a performance one.
+    the good-runs construction and the engine-replay oracle all route
+    through compilation, so any divergence here is a soundness bug, not
+    a performance one.
+
+    The compiled engine is the context's one compilation of the system
+    under the backend, queried at ``goodruns``: successive calls at
+    different vectors share its memo, which is how a memo keyed too
+    coarsely for the vector gets caught.
     """
     from repro.errors import SemanticsError
-    from repro.semantics.compiler import compiled_for
+    from repro.semantics.backend import get_backend
 
+    resolved = get_backend(backend)
+    interpreter = resolved.interpreter(
+        system, goodruns, pattern_hide=pattern_hide
+    )
+    compiled = resolved.compile(system, goodruns, pattern_hide=pattern_hide)
+    setting = f"{resolved.name} backend" + (
+        f", {goodruns.describe()}" if goodruns is not None else ""
+    )
     failures = []
-    interpreter = Evaluator(system, goodruns, pattern_hide=pattern_hide)
-    compiled = compiled_for(system, goodruns, pattern_hide=pattern_hide)
     for formula in formulas:
         for run, k in points:
             try:
@@ -429,7 +442,7 @@ def check_compiled_differential(
                     OracleFailure(
                         "compiled_vs_interpreted",
                         f"interpreter said {expected}, compiled engine "
-                        f"said {actual}",
+                        f"said {actual} ({setting})",
                         run_name=run.name, formula=str(formula), time=k,
                     )
                 )

@@ -19,18 +19,23 @@ Theorem 3: if I also satisfies I2, the constructed vector is *optimum*
 
 Two engines compute the same stages (held byte-identical by
 ``tests/test_goodruns_construction_fuzz.py`` and the
-``goodruns_construction`` fuzz family):
+``goodruns_construction`` fuzz family, under both backends):
 
-* ``naive`` — the literal definition: compile the system against
-  ``G^{j-1}`` at every stage and re-evaluate every stratum formula.
-* ``worklist`` (default) — one :class:`~repro.semantics.vector_eval.
-  VectorTruth` checker for the whole construction.  Belief-free bodies
-  and hidden-view classes are computed once; a body is re-evaluated at
-  stage j only if some principal its beliefs reference had its good set
-  change since the body was last evaluated (the checker's dependency
-  signature); stages whose strata are empty, and every stage after the
-  vector hits bottom, are skipped outright (``goodruns.stage_skipped``).
-  See DESIGN.md §12 for the invariants and the soundness argument.
+* ``naive`` — the literal definition, and the reference: a fresh
+  interpreter of the backend at ``G^{j-1}`` evaluates every stratum
+  formula at every stage.
+* ``worklist`` (default) — one compilation of the system for the whole
+  construction, queried at each ``G^{j-1}``
+  (:meth:`~repro.semantics.compiler.CompiledSystem.at`).  Belief-free
+  bodies and hidden-view classes are computed once; a body is
+  recomputed at stage j only if some principal whose beliefs it
+  evaluates had its good set change since (the compiler keys such
+  bitsets by those good sets); stages whose strata are empty, and
+  every stage after the vector hits bottom, are skipped outright
+  (``goodruns.stage_skipped``).  See DESIGN.md §12 for the invariants
+  and the soundness argument.
+
+:func:`refine_once` and the support checks query the same compilation.
 """
 
 from __future__ import annotations
@@ -47,11 +52,11 @@ from repro.semantics.backend import (
     SemanticsBackend,
     get_backend,
 )
-from repro.semantics.compiler import compiled_for
+from repro.semantics.compiler import CompiledSystem, compiled_for
 from repro.semantics.goodvectors import GoodRunVector
-from repro.semantics.vector_eval import VectorTruth
 from repro.terms.atoms import Principal
 from repro.terms.formulas import Believes, Formula
+from repro.terms.ops import is_ground
 
 #: Engines accepted by :func:`construct_good_runs`.
 ENGINES = ("worklist", "naive")
@@ -102,21 +107,12 @@ def construct_good_runs(
     """Run the paper's iterative construction over a finite system.
 
     ``backend`` names a semantics backend in the current context's
-    registry.  The ``worklist`` engine's :class:`VectorTruth` bitset
-    algebra encodes the *belief* clause, so a backend that does not
-    advertise ``supports_vector_eval`` is demoted to the ``naive``
-    stage-by-stage engine (compiling through the backend's own
-    ``compile``), counted under ``goodruns.backend_forced_naive``.
+    registry; both engines evaluate the strata under it.
     """
     _validate_assumptions(system, assumptions)
     resolved = get_backend(backend)
-    if engine == "worklist" and not resolved.supports_vector_eval:
-        perf.count("goodruns.backend_forced_naive")
-        journal.record("construction_demoted", backend=resolved.name,
-                       engine=engine)
-        engine = "naive"
     if engine == "worklist":
-        return _construct_worklist(system, assumptions, pattern_hide)
+        return _construct_worklist(system, assumptions, pattern_hide, resolved)
     if engine == "naive":
         return _construct_naive(system, assumptions, pattern_hide, resolved)
     raise AssumptionError(
@@ -128,13 +124,9 @@ def _construct_naive(
     system: System,
     assumptions: InitialAssumptions,
     pattern_hide: bool,
-    backend: SemanticsBackend | None = None,
+    backend: SemanticsBackend,
 ) -> ConstructionResult:
-    """The literal G^j loop: a fresh per-vector compilation per stage."""
-    compile_for = (
-        backend.compile if backend is not None
-        else get_backend(DEFAULT_BACKEND).compile
-    )
+    """The literal G^j loop: a fresh interpreter at every stage."""
     all_names = frozenset(run.name for run in system.runs)
     current: dict[Principal, frozenset[str]] = {
         principal: all_names for principal in system.principals()
@@ -142,9 +134,8 @@ def _construct_naive(
     stages = [GoodRunVector.of(current)]
 
     for depth in range(1, assumptions.max_depth + 1):
-        previous_vector = stages[-1]
-        evaluator = compile_for(system, previous_vector,
-                                pattern_hide=pattern_hide)
+        evaluator = backend.interpreter(system, stages[-1],
+                                        pattern_hide=pattern_hide)
         updated: dict[Principal, frozenset[str]] = {}
         with spans.span("goodruns.stage", depth=depth,
                         engine="naive") as attrs:
@@ -167,47 +158,42 @@ def _construct_naive(
 
 
 def _filter_good(
-    checker: VectorTruth,
+    engine: CompiledSystem,
     system: System,
-    vector: GoodRunVector,
     body: Formula,
     good: frozenset[str],
-    pattern_hide: bool,
-) -> tuple[frozenset[str], bool]:
-    """``{ r ∈ good : (r, 0) |= body rel vector }`` plus a reused flag.
+) -> frozenset[str]:
+    """``{ r ∈ good : (r, 0) |= body }`` relative to the engine's vector.
 
-    The bitset fast path serves any body the vector-truth checker can
-    analyze, provided every candidate run has a compiled time-0 point;
-    otherwise the per-run compiled evaluator takes over — including its
-    error behaviour (missing time 0, unassigned parameters), in the
-    same ``sorted(good)`` order as the naive engine.
+    One bitset serves every candidate run when the body compiles and
+    each run has a compiled time-0 point; otherwise the runs are
+    evaluated one by one — with the interpreter's error behaviour
+    (missing time 0, unassigned parameters), in the same
+    ``sorted(good)`` order as the naive engine.
     """
-    reused = checker.is_cached(body, vector)
-    bits = checker.truth_bits(body, vector)
-    point_index = checker.compiled.point_index
-    if bits is not None and all((name, 0) in point_index for name in good):
+    bits = engine.truth_bits(body) if is_ground(body) else None
+    index = engine.point_index
+    if bits is not None and all((name, 0) in index for name in good):
         perf.count("goodruns.body_bitset")
-        kept = frozenset(
-            name for name in sorted(good)
-            if (bits >> point_index[(name, 0)]) & 1
+        return frozenset(
+            name for name in good if (bits >> index[(name, 0)]) & 1
         )
-        return kept, reused
     perf.count("goodruns.body_fallback")
-    evaluator = compiled_for(system, vector, pattern_hide=pattern_hide)
-    kept = frozenset(
+    return frozenset(
         name for name in sorted(good)
-        if evaluator.evaluate(body, system.run(name), 0)
+        if engine.evaluate(body, system.run(name), 0)
     )
-    return kept, False
 
 
 def _construct_worklist(
     system: System,
     assumptions: InitialAssumptions,
     pattern_hide: bool,
+    backend: SemanticsBackend,
 ) -> ConstructionResult:
-    """The incremental G^j loop: one checker, work only where truth moves."""
-    checker = VectorTruth(system, pattern_hide=pattern_hide)
+    """The incremental G^j loop: one compilation, work only where truth
+    moves."""
+    compiled = compiled_for(system, None, pattern_hide, backend=backend)
     all_names = frozenset(run.name for run in system.runs)
     principals = system.principals()
     current: dict[Principal, frozenset[str]] = {
@@ -235,29 +221,17 @@ def _construct_worklist(
                         survivors=sum(len(g) for g in current.values()))
             stages.append(stages[-1])
             continue
-        previous_vector = stages[-1]
+        engine = compiled.at(stages[-1])
         updated: dict[Principal, frozenset[str]] = {}
         with spans.span("goodruns.stage", depth=depth,
                         engine="worklist") as attrs:
-            evaluated = reused = 0
             for principal in principals:
                 good = current[principal]
                 for formula in strata[principal]:
                     assert isinstance(formula, Believes)
-                    good, was_cached = _filter_good(
-                        checker, system, previous_vector,
-                        formula.body, good, pattern_hide,
-                    )
-                    if was_cached:
-                        reused += 1
-                        perf.count("goodruns.body_reused")
-                    else:
-                        evaluated += 1
-                        perf.count("goodruns.body_evaluated")
+                    good = _filter_good(engine, system, formula.body, good)
                 updated[principal] = good
             attrs["survivors"] = sum(len(good) for good in updated.values())
-            attrs["evaluated"] = evaluated
-            attrs["reused"] = reused
         current = updated
         stages.append(GoodRunVector.of(current))
         bottomed = not any(current.values())
@@ -283,11 +257,8 @@ def refine_once(
     ``goodruns_construction`` fuzz family checks this mechanically.
     """
     _validate_assumptions(system, assumptions)
-    resolved = get_backend(backend)
-    checker = (
-        VectorTruth(system, pattern_hide=pattern_hide)
-        if resolved.supports_vector_eval else None
-    )
+    engine = compiled_for(system, vector, pattern_hide,
+                          backend=get_backend(backend))
     all_names = frozenset(run.name for run in system.runs)
     updated: dict[Principal, frozenset[str]] = {}
     for principal in system.principals():
@@ -295,18 +266,7 @@ def refine_once(
         good = all_names if good is None else good
         for formula in assumptions.normalized.get(principal, ()):
             assert isinstance(formula, Believes)
-            if checker is not None:
-                good, _ = _filter_good(
-                    checker, system, vector, formula.body, good, pattern_hide
-                )
-            else:
-                evaluator = resolved.compile(
-                    system, vector, pattern_hide=pattern_hide
-                )
-                good = frozenset(
-                    name for name in sorted(good)
-                    if evaluator.evaluate(formula.body, system.run(name), 0)
-                )
+            good = _filter_good(engine, system, formula.body, good)
         updated[principal] = good
     return GoodRunVector.of(updated)
 
@@ -334,9 +294,8 @@ def unsupported_assumptions(
 ) -> list[tuple[Principal, object, str]]:
     """The (principal, formula, run name) triples where support fails."""
     _validate_assumptions(system, assumptions)
-    evaluator = get_backend(backend).compile(
-        system, vector, pattern_hide=pattern_hide
-    )
+    evaluator = compiled_for(system, vector, pattern_hide,
+                             backend=get_backend(backend))
     failures = []
     for principal, formula in assumptions.all_formulas():
         for run in system.runs:

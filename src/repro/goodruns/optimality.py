@@ -13,13 +13,12 @@ in the paper's examples — the coin-toss counterexample (Theorem 3's
 necessity) has two runs and three principals: 64 candidate vectors.
 
 The enumeration compiles the system **once** per ``(system,
-pattern_hide)`` — a single :class:`~repro.semantics.vector_eval.
-VectorTruth` checker answers every candidate vector by re-masking the
-top compilation's possibility sets, so belief-free subformulas and
-hidden-view classes are shared across all ``(2^|runs|)^|principals|``
-support checks instead of being recompiled per candidate.  Formulas
-the checker cannot analyze fall back to a per-vector interpreter with
-identical verdicts.
+pattern_hide)``: every candidate vector queries that one compilation
+(:meth:`~repro.semantics.compiler.CompiledSystem.at`), so belief-free
+subformulas and hidden-view classes are shared across all
+``(2^|runs|)^|principals|`` support checks instead of being recompiled
+per candidate.  Formulas the compiled path cannot answer fall back to
+the interpreter at the candidate vector, with identical verdicts.
 """
 
 from __future__ import annotations
@@ -31,9 +30,9 @@ from repro.errors import AssumptionError
 from repro.goodruns.assumptions import InitialAssumptions
 from repro.goodruns.construction import _validate_assumptions
 from repro.model.system import System
-from repro.semantics.evaluator import Evaluator
+from repro.semantics.compiler import CompiledSystem, compiled_for
 from repro.semantics.goodvectors import GoodRunVector
-from repro.semantics.vector_eval import VectorTruth
+from repro.terms.ops import is_ground
 
 #: Enumeration guard: refuse blow-ups beyond this many candidate vectors.
 MAX_CANDIDATES = 1 << 20
@@ -59,28 +58,38 @@ class OptimalityReport:
         )
 
 
+def _time0_mask(compiled: CompiledSystem) -> int | None:
+    """The mask of every run's time-0 point (None if a run has none —
+    the per-run path then raises the interpreter's error)."""
+    mask = 0
+    for run in compiled.system.runs:
+        index = compiled.point_index.get((run.name, 0))
+        if index is None:
+            return None
+        mask |= 1 << index
+    return mask
+
+
 def _vector_supports(
-    checker: VectorTruth,
-    system: System,
+    compiled: CompiledSystem,
     vector: GoodRunVector,
     assumptions: InitialAssumptions,
-    pattern_hide: bool,
 ) -> bool:
-    """One candidate's support check against the shared checker."""
-    time0 = checker.time0_mask()
+    """One candidate's support check against the shared compilation."""
+    engine = compiled.at(vector)
+    time0 = _time0_mask(compiled)
     for _principal, formula in assumptions.all_formulas():
-        bits = None if time0 is None else checker.truth_bits(formula, vector)
+        bits = (
+            engine.truth_bits(formula)
+            if time0 is not None and is_ground(formula) else None
+        )
         if bits is None:
-            # Unanalyzable shape (or a run without a time-0 point):
-            # interpret against this vector — same verdicts and same
-            # error behaviour as the unshared path.
-            evaluator = Evaluator(system, vector, pattern_hide=pattern_hide)
             if not all(
-                evaluator.evaluate(formula, run, 0) for run in system.runs
+                engine.evaluate(formula, run, 0)
+                for run in engine.system.runs
             ):
                 return False
-            continue
-        if bits & time0 != time0:
+        elif bits & time0 != time0:
             return False
     return True
 
@@ -105,11 +114,11 @@ def enumerate_supporting_vectors(
             f"optimality search space too large ({total} candidate vectors); "
             "use a smaller system"
         )
-    checker = VectorTruth(system, pattern_hide=pattern_hide)
+    compiled = compiled_for(system, None, pattern_hide)
     supporting = []
     for choice in itertools.product(subsets, repeat=len(principals)):
         vector = GoodRunVector.of(dict(zip(principals, choice)))
-        if _vector_supports(checker, system, vector, assumptions, pattern_hide):
+        if _vector_supports(compiled, vector, assumptions):
             supporting.append(vector)
     return tuple(supporting)
 
@@ -139,7 +148,7 @@ def optimality_report(
     for vector in supporting:
         if not vector.leq(candidate, system):  # pragma: no cover - impossible
             return OptimalityReport(supporting, None)
-    checker = VectorTruth(system, pattern_hide=pattern_hide)
-    if _vector_supports(checker, system, candidate, assumptions, pattern_hide):
+    compiled = compiled_for(system, None, pattern_hide)
+    if _vector_supports(compiled, candidate, assumptions):
         return OptimalityReport(supporting, candidate)
     return OptimalityReport(supporting, None)

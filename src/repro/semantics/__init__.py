@@ -13,12 +13,7 @@ from repro.semantics.backend import (
     backend_names,
     get_backend,
 )
-from repro.semantics.epistemic import (
-    CompiledEpistemicSystem,
-    EpistemicBackend,
-    EpistemicEvaluator,
-    compiled_epistemic_for,
-)
+from repro.semantics.epistemic import EpistemicBackend, EpistemicEvaluator
 from repro.semantics.evaluator import Evaluator
 from repro.semantics.goodvectors import GoodRunVector
 from repro.semantics.hide import (
@@ -47,10 +42,8 @@ __all__ = [
     "SemanticsBackend",
     "backend_names",
     "get_backend",
-    "CompiledEpistemicSystem",
     "EpistemicBackend",
     "EpistemicEvaluator",
-    "compiled_epistemic_for",
     "Evaluator",
     "GoodRunVector",
     "OPAQUE",

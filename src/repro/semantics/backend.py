@@ -9,27 +9,26 @@ semantics over the same runs-and-systems models, and the Shoham–Moses
 interpreter, compiler, sweep, audit, good-runs construction, fuzz
 oracles, serve daemon — was hard-wired to the single belief evaluator.
 
-:class:`SemanticsBackend` is the seam.  A backend knows how to produce
-the two engine shapes the rest of the library consumes:
+:class:`SemanticsBackend` is the seam.  A truth definition in this
+family differs from the paper's in the ``P believes φ`` clause only, so
+a backend contributes exactly that clause in two shapes:
 
-* :meth:`SemanticsBackend.compile` — a compiled, whole-system engine
-  with the ``evaluate(formula, run, k)`` / ``holds(formula, point)`` /
-  ``truth_bits(formula)`` surface of
-  :class:`~repro.semantics.compiler.CompiledSystem` (the hot-loop
-  shape);
 * :meth:`SemanticsBackend.interpreter` — a per-point recursive
   evaluator with the :class:`~repro.semantics.evaluator.Evaluator`
-  surface, optionally carrying an explanation tracer.
+  surface, optionally carrying an explanation tracer (the reference
+  the fuzz oracles compare against);
+* :meth:`SemanticsBackend.belief_clause` — the clause in the bitset
+  engine: given the principal's hidden-view classes, each with its
+  points in good runs, and the body's truth bitset, the points where
+  the belief holds.
 
-plus capability flags so callers can keep their fast paths honest:
-
-* ``supports_tracing`` — the backend can attach a
-  :class:`repro.obs.trace.Tracer` and emit why-false trees;
-* ``supports_vector_eval`` — the backend's belief clause matches the
-  bitset algebra of :mod:`repro.semantics.vector_eval`, so the
-  good-runs worklist engine may use :class:`VectorTruth` against it.
-  Backends without this flag force the construction onto the stage-by-
-  stage compiled path (still correct, just not incremental).
+:meth:`SemanticsBackend.compile` returns the one bitset engine,
+:class:`~repro.semantics.compiler.CompiledSystem`, built once per
+``(system, pattern_hide, backend)`` with this backend's clause and
+handed out at the requested good-run vector; every vector — the
+Section 7 construction's stages included — queries that one
+compilation.  ``supports_tracing`` says whether the interpreter can
+attach a :class:`repro.obs.trace.Tracer` and emit why-false trees.
 
 The registry is **context-owned** (``EngineContext.backends``, built
 lazily like ``ctx.metrics``): no module-level mutable registry, per the
@@ -55,12 +54,11 @@ from repro import context as _context
 from repro.errors import EngineError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.model.system import Point, System
+    from repro.model.system import System
     from repro.obs.trace import Tracer
     from repro.semantics.compiler import CompiledSystem
     from repro.semantics.evaluator import Evaluator
     from repro.semantics.goodvectors import GoodRunVector
-    from repro.terms.formulas import Formula
 
 #: The backend every knob defaults to: the paper's belief semantics.
 DEFAULT_BACKEND = "belief"
@@ -69,21 +67,17 @@ DEFAULT_BACKEND = "belief"
 class SemanticsBackend:
     """One truth definition, packaged for every consumer in the stack.
 
-    Subclasses set ``name`` and the capability flags as class
-    attributes and implement :meth:`compile` and :meth:`interpreter`.
-    The objects they return must present the shared engine surface
-    (``evaluate(formula, run, k)`` and ``holds(formula, point)``); a
-    compiled engine should additionally be a
-    :class:`~repro.semantics.compiler.CompiledSystem` (or subclass) if
-    it wants the sweep's bitset fast path.
+    Subclasses set ``name`` and ``supports_tracing`` as class
+    attributes and implement :meth:`compile`, :meth:`interpreter` and
+    :meth:`belief_clause`.  The interpreter and the belief clause must
+    agree, which the ``compiled_vs_interpreted`` fuzz oracle checks per
+    backend.
     """
 
     #: Registry key; also what CLIs/wire schemas accept.
     name: str = "abstract"
     #: Whether :meth:`interpreter` honours a ``tracer`` argument.
     supports_tracing: bool = False
-    #: Whether the belief clause matches ``vector_eval``'s algebra.
-    supports_vector_eval: bool = False
 
     def compile(
         self,
@@ -91,7 +85,8 @@ class SemanticsBackend:
         goodruns: "GoodRunVector | None" = None,
         pattern_hide: bool = False,
     ) -> "CompiledSystem":
-        """The backend's compiled whole-system engine (context-cached)."""
+        """The bitset engine under this backend, at ``goodruns``
+        (one context-cached compilation serves every vector)."""
         raise NotImplementedError
 
     def interpreter(
@@ -104,19 +99,20 @@ class SemanticsBackend:
         """A fresh per-point recursive evaluator for this backend."""
         raise NotImplementedError
 
-    def evaluate(
-        self,
-        system: "System",
-        formula: "Formula",
-        point: "Point",
-        goodruns: "GoodRunVector | None" = None,
-        pattern_hide: bool = False,
-    ) -> bool:
-        """Convenience: one verdict via the compiled engine."""
-        run, k = point
-        return self.compile(
-            system, goodruns, pattern_hide=pattern_hide
-        ).evaluate(formula, run, k)
+    def belief_clause(
+        self, groups: tuple[tuple[int, int], ...], body: int
+    ) -> int:
+        """The points where ``P believes φ`` holds: the union of the
+        ``members`` of P's hidden-view classes that believe φ.
+
+        ``groups`` holds one ``(members, possible)`` bitset pair per
+        class: ``members`` are the points sharing the view (what P
+        considers possible there before the good-run restriction),
+        ``possible`` those of them in P's good runs under the queried
+        vector.  ``body`` are the points where φ holds.  A class decides
+        as a whole because its points share their possible points.
+        """
+        raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
@@ -125,16 +121,13 @@ class SemanticsBackend:
 class BeliefBackend(SemanticsBackend):
     """The paper's semantics: the default, and the reference engine.
 
-    ``compile`` is :func:`repro.semantics.compiler.compiled_for` (the
-    context-cached bitset engine); ``interpreter`` is the recursive
-    :class:`~repro.semantics.evaluator.Evaluator`.  This backend is the
-    only one whose belief clause the vector-eval algebra reproduces, so
-    it alone advertises ``supports_vector_eval``.
+    ``interpreter`` is the recursive
+    :class:`~repro.semantics.evaluator.Evaluator`; ``compile`` is
+    :func:`repro.semantics.compiler.compiled_for` with this backend.
     """
 
     name = "belief"
     supports_tracing = True
-    supports_vector_eval = True
 
     def compile(
         self,
@@ -144,7 +137,7 @@ class BeliefBackend(SemanticsBackend):
     ) -> "CompiledSystem":
         from repro.semantics.compiler import compiled_for
 
-        return compiled_for(system, goodruns, pattern_hide=pattern_hide)
+        return compiled_for(system, goodruns, pattern_hide, backend=self)
 
     def interpreter(
         self,
@@ -158,6 +151,16 @@ class BeliefBackend(SemanticsBackend):
         return Evaluator(
             system, goodruns, pattern_hide=pattern_hide, tracer=tracer
         )
+
+    @staticmethod
+    def belief_clause(groups: tuple[tuple[int, int], ...], body: int) -> int:
+        """The paper's clause: φ holds at every possible point,
+        vacuously when there are none."""
+        bits = 0
+        for members, possible in groups:
+            if possible & body == possible:
+                bits |= members
+        return bits
 
 
 class BackendRegistry:

@@ -5,7 +5,7 @@ the same formula ASTs structurally at every point — for sweep-shaped
 workloads (many instances × every point of the system) more than half
 the work is dispatch and memo-key hashing.  The paper's truth
 definition maps a formula to the set of points where it holds; this
-module computes that map per ``(system, goodruns, pattern_hide)`` as
+module computes that map per ``(system, pattern_hide, backend)`` as
 **one memo**, ``formula → bitset``, whose unit of evaluation is the
 *whole system*:
 
@@ -29,11 +29,12 @@ module computes that map per ``(system, goodruns, pattern_hide)`` as
   clauses are run-level facts; the latter read a per-run table of who
   *made* (said without having seen) each ciphertext or combination.
 * ``Believes`` reads the hidden-view classes: every view class is a
-  ``(members, possible)`` bitset pair, and the belief check collapses
-  to one subset test per class (``possible & body == possible``) — the
+  ``(members, possible)`` bitset pair, ``possible`` being the members in
+  the principal's good runs, and the belief check collapses to one
+  subset test per class (the paper's clause: ``possible ⊆ body``) — the
   per-(formula, viewclass) sharing the interpreter's per-point loop
-  could never amortize.  The clause itself is the backend seam,
-  :meth:`CompiledSystem.belief_clause`.
+  could never amortize.  That test is the backend seam,
+  :meth:`~repro.semantics.backend.SemanticsBackend.belief_clause`.
 * ``ForAll`` expands over the vocabulary.
 
 One recursive walk fills the memo: each ground subformula's bitset is
@@ -41,21 +42,33 @@ computed once, keyed by the *interned* formula, so schema instances
 sharing subformulas share their bitsets, and nothing but an int (or
 ``None``) is retained per subformula.
 
+**The good-run vector is a query input, not a compile key.**  Only the
+belief clause reads it (Section 6), so one compilation serves every
+vector: :meth:`CompiledSystem.at` hands out a handle bound to a vector
+that shares every table and the memo.  A bitset is memoized under the
+formula plus the good-run masks the handle gives the principals whose
+beliefs the formula evaluates — through ``Controls`` bodies and
+``ForAll`` expansions too — and under the formula alone when the handle
+restricts none of them.  So belief-free bitsets serve every vector, the
+top vector (the sweep's) never builds a signature, and the Section 7
+construction, which re-asks belief bodies at each stage ``G^j``,
+recomputes only what a shrinking good set can move.
+
 **Fidelity.**  The compiler is a fast path, not a second semantics:
 anything it cannot compute with byte-identical behaviour — a formula
 mentioning a principal without local state in some run (where the
 interpreter's error behaviour is point- and order-dependent), an
 unknown connective, a malformed ``pk(...)`` — is memoized as ``None``
-and falls back to a private interpreter ``Evaluator`` sharing the same
-parameters.  Tracing always takes the interpreter
+and falls back to the backend's interpreter at the handle's vector.
+Tracing always takes the interpreter
 (:meth:`CompiledSystem.evaluate_traced`): trace fidelity is cheaper to
 inherit than to re-emit.  The ``compiled_vs_interpreted`` fuzz oracle
 (:mod:`repro.fuzz.oracles`) holds the two engines byte-identical
 across campaigns.
 
-Compiled state is session-owned: :func:`compiled_for` caches
-``CompiledSystem`` instances on the current
-:class:`~repro.context.EngineContext` (``ctx.compiled_systems``), and
+Compiled state is session-owned: :func:`compiled_for` caches one
+``CompiledSystem`` per ``(system, pattern_hide, backend)`` on the
+current :class:`~repro.context.EngineContext` (``ctx.compiled_systems``), and
 the ``compiled_eval`` perf layer reports compile-cache hits/misses and
 registers with ``perf.clear_caches``/``cache_sizes`` like every other
 memoization layer.
@@ -63,7 +76,8 @@ memoization layer.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+import copy
+from collections.abc import Iterable, Mapping
 from types import MappingProxyType
 from typing import Callable
 
@@ -72,6 +86,7 @@ from repro import perf
 from repro.errors import SemanticsError
 from repro.model.runs import Run
 from repro.model.system import Point, System
+from repro.semantics.backend import SemanticsBackend, get_backend
 from repro.semantics.evaluator import Evaluator
 from repro.semantics.goodvectors import GoodRunVector
 from repro.terms.atoms import Principal, PublicKey
@@ -128,32 +143,33 @@ perf.register_cache("compiled_eval", _clear_compiled, _compiled_size)
 
 
 class CompiledSystem:
-    """Formulas compiled against one ``(system, goodruns, pattern_hide)``.
+    """One ``(system, pattern_hide, backend)`` compilation, queried
+    relative to one good-run vector.
 
     Presents the same ``evaluate(formula, run, k)`` / ``holds(formula,
     point)`` surface as :class:`Evaluator`, so the hot loops (soundness
     sweep, engine-replay audit, good-runs support checks) adopt it
     without restructuring.  Obtain instances through
-    :func:`compiled_for`, which caches them on the current engine
-    context.
+    :func:`compiled_for` (or a backend's ``compile``), which caches the
+    compilation on the current engine context, and :meth:`at` for
+    further vectors.
 
-    A backend changes the truth definition by overriding
-    :meth:`belief_clause` and naming its interpreter in
-    ``interpreter_class``; every other clause is shared.
+    The backend enters in two places only: its
+    :meth:`~repro.semantics.backend.SemanticsBackend.belief_clause` and
+    its interpreter (fallback and tracing); every other clause is
+    shared.
     """
-
-    #: The fallback and tracing interpreter of this backend.
-    interpreter_class: type[Evaluator] = Evaluator
 
     def __init__(
         self,
         system: System,
         goodruns: GoodRunVector | None = None,
         pattern_hide: bool = False,
+        backend: SemanticsBackend | None = None,
     ) -> None:
         self.system = system
-        self.goodruns = goodruns or GoodRunVector()
         self.pattern_hide = pattern_hide
+        self.backend = backend if backend is not None else get_backend()
         #: Dense point numbering, in ``system.points()`` order.
         self.points: tuple[Point, ...] = tuple(system.points())
         self.point_index: dict[tuple[str, int], int] = {
@@ -167,9 +183,11 @@ class CompiledSystem:
             self._run_masks[run.name] = (
                 self._run_masks.get(run.name, 0) | (1 << i)
             )
-        #: Truth bitsets keyed by (interned) ground formula; ``None``
-        #: marks a formula the compiled path cannot answer faithfully.
-        self._bits: dict[Formula, int | None] = {}
+        #: Truth bitsets keyed by :meth:`_memo_key`; ``None`` marks a
+        #: formula the compiled path cannot answer faithfully.
+        self._bits: dict[object, int | None] = {}
+        #: Belief subjects per formula (see :meth:`_belief_deps`).
+        self._deps: dict[Formula, tuple[Message, ...]] = {}
         #: Memo hits and misses of the walk in progress (see
         #: :meth:`_flush_counts`).
         self._hits = 0
@@ -180,29 +198,61 @@ class CompiledSystem:
         #: representative point per local-state object, ``"keys"``,
         #: ``"seen"`` and ``"views"`` merge those by equal value.
         self._classes: dict[tuple[str, Principal], PointClasses] = {}
-        #: Belief groups per principal, one entry per hidden-view class.
-        self._belief_groups: dict[Principal, BeliefGroups] = {}
+        #: Belief groups per (principal, good-run mask) (see
+        #: :meth:`_belief_groups`).
+        self._groups: dict[tuple[Principal, int | None], BeliefGroups] = {}
         #: ``(said, says)`` masks per principal (see :meth:`_said_masks`).
         self._said_tables: dict[
             Principal, tuple[dict[Message, int], dict[Message, int]]
         ] = {}
         #: Component makers per run name (see :meth:`_makers`).
         self._run_makers: dict[str, dict[tuple, set[Principal]]] = {}
-        self._interpreter: Evaluator | None = None
+        self._bind(goodruns)
+        #: The interpreter whose memoized ``_seen_set``/
+        #: ``_said_entries``/``_past_submsgs``/``_hidden_view`` kernels
+        #: build the tables, which keeps them byte-identical to the
+        #: interpreted semantics by construction.  The kernels do not
+        #: read the vector.
+        self._kernel: Evaluator = self.interpreter
 
     # -- public API -----------------------------------------------------------
 
+    def at(self, goodruns: GoodRunVector | None) -> CompiledSystem:
+        """This compilation queried relative to ``goodruns``.
+
+        The handle is a shallow copy: it shares every table and the
+        memo with this one, so nothing is recompiled; only the vector
+        and the fallback interpreter are its own.
+        """
+        if (goodruns or GoodRunVector()) == self.goodruns:
+            return self
+        handle = copy.copy(self)
+        handle._bind(goodruns)
+        return handle
+
+    def _bind(self, goodruns: GoodRunVector | None) -> None:
+        """Make ``goodruns`` this handle's vector."""
+        self.goodruns = goodruns or GoodRunVector()
+        #: Good-run point masks of the principals the vector restricts
+        #: (a principal whose good runs cover the system is left out).
+        self._masks: dict[Message, int] = {}
+        for principal, names in self.goodruns.entries:
+            mask = 0
+            for name in names:
+                # Names outside the system contribute no points, exactly
+                # as in the interpreter's possibility filter.
+                mask |= self._run_masks.get(name, 0)
+            if mask != self.full_mask:
+                self._masks[principal] = mask
+        #: This handle's fallback interpreter (built on first use).
+        self._interpreter: Evaluator | None = None
+
     @property
     def interpreter(self) -> Evaluator:
-        """The fallback interpreter (also the table-building kernel).
-
-        Sharing the interpreter's memoized ``_seen_set``/
-        ``_said_entries``/``_past_submsgs``/``_hidden_view`` kernels
-        keeps the compiled tables byte-identical to the interpreted
-        semantics by construction.
-        """
+        """The backend's interpreter at this handle's vector: the
+        fallback for whatever the compiled path leaves uncomputed."""
         if self._interpreter is None:
-            self._interpreter = self.interpreter_class(
+            self._interpreter = self.backend.interpreter(
                 self.system, self.goodruns, pattern_hide=self.pattern_hide
             )
         return self._interpreter
@@ -245,12 +295,12 @@ class CompiledSystem:
     def evaluate_traced(self, formula: Formula, run: Run, k: int, tracer) -> bool:
         """Evaluate with an explanation tracer attached.
 
-        Tracing runs through a fresh interpreter sharing this compiled
-        system's parameters: the trace records are identical to the
-        interpreted engine's by construction (cheaper than teaching
-        every compiled clause to emit them).
+        Tracing runs through a fresh interpreter at this handle's
+        vector: the trace records are identical to the interpreted
+        engine's by construction (cheaper than teaching every compiled
+        clause to emit them).
         """
-        traced = self.interpreter_class(
+        traced = self.backend.interpreter(
             self.system, self.goodruns,
             pattern_hide=self.pattern_hide, tracer=tracer,
         )
@@ -263,16 +313,17 @@ class CompiledSystem:
         The formula must be ground (callers go through
         :meth:`evaluate`, which substitutes parameters first).
         """
-        bits = self._bits.get(formula, _MISSING)
+        key = self._memo_key(formula) if self._masks else formula
+        bits = self._bits.get(key, _MISSING)
         if bits is _MISSING:
             try:
-                bits = self._compute(formula)
+                bits = self._compute(formula, key)
             finally:
                 self._flush_counts()
             if bits is None:
-                # Journal only the *first* verdict per formula shape:
-                # the flight recorder wants "this shape fell back", not
-                # one event per point of a hot loop.
+                # Journal only the *first* verdict per memo key: the
+                # flight recorder wants "this shape fell back", not one
+                # event per point of a hot loop.
                 from repro.obs import journal
 
                 journal.record(
@@ -290,10 +341,6 @@ class CompiledSystem:
         """The point mask of one run (0 for a name not in the system)."""
         return self._run_masks.get(name, 0)
 
-    def belief_groups(self, principal: Principal) -> BeliefGroups:
-        """The principal's (members, possible) view-class bit pairs."""
-        return self._belief_groups_for(principal)
-
     def can_compile(self, formula: Formula) -> bool:
         """Whether :meth:`truth_bits` can answer for this formula."""
         try:
@@ -301,54 +348,72 @@ class CompiledSystem:
         finally:
             self._flush_counts()
 
-    def uniform_principal(self, term: Message) -> bool:
-        """Whether ``term`` is a principal with state in every run."""
-        return self._uniform_principal(term)
-
     def cache_stats(self) -> dict[str, int]:
-        """Sizes of this compiled system's internal tables."""
+        """Sizes of this compilation's internal tables."""
         return {
             "bitsets": sum(bits is not None for bits in self._bits.values()),
             "uncompilable": sum(bits is None for bits in self._bits.values()),
-            "belief_groups": sum(
-                len(groups) for groups in self._belief_groups.values()
-            ),
             "points": len(self.points),
         }
-
-    def belief_clause(self, groups: BeliefGroups, body_bits: int) -> int:
-        """``P believes φ`` over the whole system, from P's view classes
-        and the truth bitset of φ — the one clause a backend overrides.
-
-        The paper's clause: a view class believes φ iff φ holds on every
-        point of its possibility set (vacuously, on an empty one).
-        """
-        bits = 0
-        for members, possible in groups:
-            if possible & body_bits == possible:
-                bits |= members
-        return bits
 
     # -- the memo -------------------------------------------------------------
 
     def _lookup(self, formula: Formula) -> int | None:
         """A subformula's bitset, computed on first use."""
-        bits = self._bits.get(formula, _MISSING)
+        key = self._memo_key(formula) if self._masks else formula
+        bits = self._bits.get(key, _MISSING)
         if bits is _MISSING:
-            return self._compute(formula)
+            return self._compute(formula, key)
         if bits is not None:
             self._hits += 1
         return bits
 
-    def _compute(self, formula: Formula) -> int | None:
+    def _compute(self, formula: Formula, key: object) -> int | None:
         """Compute and memoize one formula's bitset (``None``: the
         compiled path cannot reproduce the interpreter exactly)."""
         clause = _CLAUSES.get(type(formula))
         bits = None if clause is None else clause(self, formula)
-        self._bits[formula] = bits
+        self._bits[key] = bits
         if bits is not None:
             self._misses += 1
         return bits
+
+    def _memo_key(self, formula: Formula) -> object:
+        """The formula plus the good-run masks this handle gives the
+        principals whose beliefs the formula's walk evaluates — or the
+        formula alone when the handle restricts none of them, so an
+        unrestricted query shares its bitsets with every other.
+
+        Only called on a handle that restricts some principal: on the
+        top vector the formula is its own key.
+        """
+        masks = self._masks
+        signature = tuple(
+            masks.get(subject) for subject in self._belief_deps(formula)
+        )
+        if signature.count(None) == len(signature):
+            return formula
+        return (formula, signature)
+
+    def _belief_deps(self, formula: Formula) -> tuple[Message, ...]:
+        """The subjects of every ``Believes`` the formula's walk
+        evaluates — through ``Controls`` bodies and ``ForAll``
+        expansions, but not into messages (a belief quoted in a message
+        is only ever matched, never evaluated).  Memoized, so the order
+        of the subjects, which :meth:`_memo_key` relies on, is fixed."""
+        children = _SUBFORMULAS.get(type(formula))
+        if children is None:
+            return ()
+        deps = self._deps.get(formula)
+        if deps is None:
+            subjects: set[Message] = set()
+            for child in children(self, formula):
+                subjects.update(self._belief_deps(child))
+            if isinstance(formula, Believes):
+                subjects.add(formula.principal)
+            deps = tuple(subjects)
+            self._deps[formula] = deps
+        return deps
 
     def _flush_counts(self) -> None:
         """Move the memo hits and misses of one recursive walk into the
@@ -459,7 +524,7 @@ class CompiledSystem:
 
     def _fresh(self, formula: Fresh) -> int:
         message = formula.message
-        past = self.interpreter._past_submsgs
+        past = self._kernel._past_submsgs
         bits = 0
         for run in self.system.runs:
             if message not in past(run):
@@ -526,7 +591,7 @@ class CompiledSystem:
         if cached is None:
             said: dict[Message, int] = {}
             says: dict[Message, int] = {}
-            said_entries = self.interpreter._said_entries
+            said_entries = self._kernel._said_entries
             for run in self.system.runs:
                 run_mask = self._run_masks[run.name]
                 for sent_at, components in said_entries(principal, run):
@@ -546,8 +611,8 @@ class CompiledSystem:
         ``(Combined, secret)`` for combinations."""
         cached = self._run_makers.get(run.name)
         if cached is None:
-            said_entries = self.interpreter._said_entries
-            seen_set = self.interpreter._seen_set
+            said_entries = self._kernel._said_entries
+            seen_set = self._kernel._seen_set
             cached = {}
             for principal in run.all_principals:
                 for sent_at, components in said_entries(principal, run):
@@ -621,35 +686,36 @@ class CompiledSystem:
 
     def _seen_classes(self, principal: Principal) -> PointClasses:
         """``(seen set, mask)`` pairs of the principal."""
-        return self._classes_by("seen", principal, self.interpreter._seen_set)
+        return self._classes_by("seen", principal, self._kernel._seen_set)
 
     # -- belief ---------------------------------------------------------------
 
-    def _belief_groups_for(self, principal: Principal) -> BeliefGroups:
-        """(members, possible) bitset pairs, one per hidden-view class.
+    def _belief_groups(
+        self, principal: Principal, good: int | None
+    ) -> BeliefGroups:
+        """``(members, possible)`` bitset pairs, one per hidden-view class
+        of the principal, under the good-run mask ``good`` (``None``:
+        every run is good).
 
-        ``members`` are the points of the *system* whose view under the
-        principal equals the class view; ``possible`` are the matching
-        points of the principal's *good runs* (the possibility set every
-        member shares).  An empty possibility set is kept: belief is
-        vacuously true there, exactly as in the interpreter.
+        ``members`` are the points that share the view — and what the
+        principal considers possible there before the good-run
+        restriction, since the compiled path only answers for
+        principals with state in every run.  ``possible`` are the
+        members in good runs.  An empty possibility set is kept: the
+        backend decides what belief means there.
         """
-        cached = self._belief_groups.get(principal)
-        if cached is not None:
-            return cached
-        good = self.goodruns.good_runs(principal)
-        if good is None:
-            good_mask = self.full_mask
-        else:
-            good_mask = 0
-            for name in good:
-                good_mask |= self._run_masks.get(name, 0)
-        views = self._classes_by(
-            "views", principal, self.interpreter._hidden_view
-        )
-        groups = tuple((members, members & good_mask) for _view, members in views)
-        self._belief_groups[principal] = groups
-        return groups
+        key = (principal, good)
+        cached = self._groups.get(key)
+        if cached is None:
+            views = self._classes_by(
+                "views", principal, self._kernel._hidden_view
+            )
+            cached = tuple(
+                (members, members if good is None else members & good)
+                for _view, members in views
+            )
+            self._groups[key] = cached
+        return cached
 
     def _believes(self, formula: Believes) -> int | None:
         principal = formula.principal
@@ -658,23 +724,27 @@ class CompiledSystem:
         body_bits = self._lookup(formula.body)
         if body_bits is None:
             return None
-        return self.belief_clause(self._belief_groups_for(principal), body_bits)
+        groups = self._belief_groups(principal, self._masks.get(principal))
+        return self.backend.belief_clause(groups, body_bits)
 
     # -- quantification -------------------------------------------------------
+
+    def _expansions(self, formula: ForAll) -> Iterable[Formula]:
+        """The quantifier's body at every vocabulary constant."""
+        for constant in self.system.vocabulary.constants(
+            formula.variable.value_sort
+        ):
+            yield substitute(formula.body, {formula.variable: constant})
 
     def _forall(self, formula: ForAll) -> int | None:
         # Every expansion is computed, even past an all-zero prefix: one
         # unsupported expansion makes the whole quantifier unsupported.
         bits = self.full_mask
-        for constant in self.system.vocabulary.constants(
-            formula.variable.value_sort
-        ):
-            expansion = self._lookup(
-                substitute(formula.body, {formula.variable: constant})
-            )
-            if expansion is None:
+        for expansion in self._expansions(formula):
+            expansion_bits = self._lookup(expansion)
+            if expansion_bits is None:
                 return None
-            bits &= expansion
+            bits &= expansion_bits
         return bits
 
 
@@ -703,6 +773,23 @@ _CLAUSES: Mapping[type, Callable[[CompiledSystem, Formula], int | None]] = (
     })
 )
 
+#: The subformulas each clause evaluates, for the classes whose bitset
+#: can read a belief (read-only); every other class is belief-free.
+_SUBFORMULAS: Mapping[
+    type, Callable[[CompiledSystem, Formula], Iterable[Formula]]
+] = MappingProxyType({
+    Not: lambda _compiled, formula: (formula.body,),
+    And: lambda _compiled, formula: (formula.left, formula.right),
+    Or: lambda _compiled, formula: (formula.left, formula.right),
+    Implies: lambda _compiled, formula: (
+        formula.antecedent, formula.consequent,
+    ),
+    Iff: lambda _compiled, formula: (formula.left, formula.right),
+    Controls: lambda _compiled, formula: (formula.body,),
+    Believes: lambda _compiled, formula: (formula.body,),
+    ForAll: CompiledSystem._expansions,
+})
+
 
 def _keyset(principal: Principal, run: Run, k: int) -> frozenset:
     return run.keyset(principal, k)
@@ -712,10 +799,16 @@ def compiled_for(
     system: System,
     goodruns: GoodRunVector | None = None,
     pattern_hide: bool = False,
+    backend: SemanticsBackend | None = None,
 ) -> CompiledSystem:
-    """The session's compiled view of a system (cached per context).
+    """The session's compilation of a system, as a handle at ``goodruns``.
 
-    The cache key is the system's process-unique monotonic
+    One compilation per ``(system, pattern_hide, backend)`` is cached
+    on the current context; ``backend`` defaults to the context's
+    default backend, and every vector is served by :meth:`CompiledSystem.at`
+    on the same compilation.
+
+    The cache key holds the system's process-unique monotonic
     :attr:`~repro.model.system.System.serial` — **not** ``id()``.  The
     cache's wholesale-clear eviction drops its strong references, after
     which a garbage-collected system's ``id()`` can be recycled for a
@@ -724,42 +817,32 @@ def compiled_for(
     *can* recur across processes (an unpickled system keeps its origin
     serial, and the receiving process mints its own), so a hit is
     additionally verified by identity; a collision recompiles and
-    overwrites, counted under ``compiled_eval.serial_collision``.
+    overwrites, counted under ``compiled_eval.serial_collision``.  The
+    backend is keyed by name and verified by identity too, so a backend
+    shadowed in the registry never reuses its predecessor's compilation.
     ``perf.clear_caches()`` / ``EngineContext.clear_session_caches()``
     empty the cache (the ``compiled_eval`` layer).
     """
-    return cached_compile(
-        CompiledSystem, (system.serial, goodruns, pattern_hide),
-        system, goodruns, pattern_hide,
-    )
-
-
-def cached_compile(
-    engine_class: type[CompiledSystem],
-    key: tuple,
-    system: System,
-    goodruns: GoodRunVector | None,
-    pattern_hide: bool,
-    **journal_fields,
-) -> CompiledSystem:
-    """Look ``key`` up in ``ctx.compiled_systems`` (identity-checked, as
-    :func:`compiled_for` describes), compiling and journaling a new
-    ``engine_class`` instance on a miss."""
+    if backend is None:
+        backend = get_backend()
     ctx = _context.current()
+    key = (system.serial, pattern_hide, backend.name)
     compiled = ctx.compiled_systems.get(key)
     if compiled is not None:
-        if compiled.system is system:
+        if compiled.system is system and compiled.backend is backend:
             perf.count("compiled_eval.system_hit")
-            return compiled
-        perf.count("compiled_eval.serial_collision")
+            return compiled.at(goodruns)
+        if compiled.system is not system:
+            perf.count("compiled_eval.serial_collision")
     perf.count("compiled_eval.system_miss")
-    compiled = engine_class(system, goodruns, pattern_hide=pattern_hide)
+    compiled = CompiledSystem(
+        system, pattern_hide=pattern_hide, backend=backend
+    )
     ctx.compiled_systems[key] = compiled
     from repro.obs import journal
 
     journal.record(
-        "compile", **journal_fields, runs=len(system.runs),
-        points=len(compiled.point_index),
-        goodruns=goodruns is not None, pattern_hide=pattern_hide,
+        "compile", backend=backend.name, runs=len(system.runs),
+        points=len(compiled.point_index), pattern_hide=pattern_hide,
     )
-    return compiled
+    return compiled.at(goodruns)

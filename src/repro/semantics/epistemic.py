@@ -54,16 +54,15 @@ formula is a counterexample.
 
 **Engineering shape.**  :class:`EpistemicEvaluator` subclasses the
 interpreter and overrides only ``_believes`` (plus a second possibility
-index over *all* runs for the knowledge guard).
-:class:`CompiledEpistemicSystem` subclasses the bitset compiler and
-overrides only its belief clause,
-:meth:`~repro.semantics.compiler.CompiledSystem.belief_clause`: the
-compiler's per-view-class ``(members, possible)`` pairs already carry
-both sets — ``members`` is the knowledge set (under the compiler's
-uniform-principal gate every member point is indistinguishable to P),
-``possible`` is the good-run subset — so the guarded clause is *still
-one subset test per view class*, and the sweep's whole-system
-``truth_bits`` fast path works for this backend unchanged.
+index over *all* runs for the knowledge guard).  The bitset engine is
+the shared :class:`~repro.semantics.compiler.CompiledSystem`;
+:meth:`EpistemicBackend.belief_clause` is the guarded clause over the
+compiler's per-view-class ``(members, possible)`` pairs.  Under the
+compiler's uniform-principal gate ``members`` is the knowledge set and
+``possible``, its points in good runs, the α-subset, so the guarded
+clause is *still one subset test per view class*.  The good-run vector is a per-query input there, exactly as
+for belief, so this backend runs the sweep's ``truth_bits`` fast path
+and the worklist good-runs construction unchanged.
 """
 
 from __future__ import annotations
@@ -72,11 +71,7 @@ from repro.errors import SemanticsError
 from repro.model.runs import Run
 from repro.model.system import Point, System
 from repro.semantics.backend import SemanticsBackend
-from repro.semantics.compiler import (
-    BeliefGroups,
-    CompiledSystem,
-    cached_compile,
-)
+from repro.semantics.compiler import CompiledSystem, compiled_for
 from repro.semantics.evaluator import Evaluator
 from repro.semantics.goodvectors import GoodRunVector
 from repro.semantics.hide import HiddenView
@@ -168,62 +163,19 @@ class EpistemicEvaluator(Evaluator):
         return True
 
 
-class CompiledEpistemicSystem(CompiledSystem):
-    """The bitset compiler with the guarded belief clause.
-
-    A :class:`CompiledSystem` subclass on purpose: the soundness
-    sweep's fast path (``isinstance(engine, CompiledSystem)`` →
-    ``truth_bits`` against ``full_mask``) applies to this backend
-    without a special case, which is what keeps ``--backend epistemic``
-    sweeps at bitset speed.  Only the belief clause and the interpreter
-    (fallback and tracing) differ.
-    """
-
-    interpreter_class = EpistemicEvaluator
-
-    def belief_clause(self, groups: BeliefGroups, body_bits: int) -> int:
-        """``members`` of a view class is P's knowledge set, ``possible``
-        its good-run (α) subset."""
-        bits = 0
-        for members, possible in groups:
-            # Non-empty α-subset: K_P(α ⊃ φ), identical to belief.
-            # Empty: the guard K_P¬α ⊃ K_Pφ bites — subset-test the
-            # whole view class (the knowledge set) instead.
-            target = possible or members
-            if target & body_bits == target:
-                bits |= members
-        return bits
-
-
 class EpistemicBackend(SemanticsBackend):
-    """Registry packaging of the epistemic semantics.
-
-    Compiled engines are cached on the same context-owned
-    ``ctx.compiled_systems`` memo as the belief backend's, under a
-    4-tuple key ``(serial, goodruns, pattern_hide, "epistemic")`` — the
-    belief cache keys are 3-tuples, so the two can never alias.
-
-    ``supports_vector_eval`` is ``False``: the worklist construction's
-    :class:`~repro.semantics.vector_eval.VectorTruth` algebra encodes
-    the *paper's* belief clause (subset test against the good-run
-    possibility set only), which diverges from the guarded clause
-    exactly on empty α-subsets, so the good-runs engine must take the
-    stage-by-stage compiled path under this backend.
-    """
+    """Registry packaging of the epistemic semantics."""
 
     name = "epistemic"
     supports_tracing = True
-    supports_vector_eval = False
 
     def compile(
         self,
         system: System,
         goodruns: GoodRunVector | None = None,
         pattern_hide: bool = False,
-    ) -> CompiledEpistemicSystem:
-        return compiled_epistemic_for(
-            system, goodruns, pattern_hide=pattern_hide
-        )
+    ) -> CompiledSystem:
+        return compiled_for(system, goodruns, pattern_hide, backend=self)
 
     def interpreter(
         self,
@@ -236,20 +188,16 @@ class EpistemicBackend(SemanticsBackend):
             system, goodruns, pattern_hide=pattern_hide, tracer=tracer
         )
 
-
-def compiled_epistemic_for(
-    system: System,
-    goodruns: GoodRunVector | None = None,
-    pattern_hide: bool = False,
-) -> CompiledEpistemicSystem:
-    """The session's compiled epistemic view of a system (context-cached).
-
-    Mirrors :func:`repro.semantics.compiler.compiled_for` — serial-keyed
-    with an identity check against cross-process serial recurrence —
-    with the backend name folded into the key.
-    """
-    return cached_compile(
-        CompiledEpistemicSystem,
-        (system.serial, goodruns, pattern_hide, EpistemicBackend.name),
-        system, goodruns, pattern_hide, backend=EpistemicBackend.name,
-    )
+    @staticmethod
+    def belief_clause(groups: tuple[tuple[int, int], ...], body: int) -> int:
+        """``members`` of a view class is P's knowledge set,
+        ``possible`` its good-run (α) subset."""
+        bits = 0
+        for members, possible in groups:
+            # Non-empty α-subset: K_P(α ⊃ φ), identical to belief.
+            # Empty: the guard K_P¬α ⊃ K_Pφ bites — subset-test the
+            # whole view class (the knowledge set) instead.
+            target = possible or members
+            if target & body == target:
+                bits |= members
+        return bits

@@ -344,7 +344,9 @@ def _build_vector(request: AnalysisRequest, system):
     Assumption formulas are taken as belief *bodies*: ``{"P1": ["p0"]}``
     asserts ``P1 believes p0``.  A formula already of the form
     ``P believes ...`` for the same principal is kept as-is, so clients
-    can write either surface form.
+    can write either surface form.  The construction runs under the
+    request's backend and hide variant, the verdict's own, so the two
+    share one compilation of the system.
     """
     if not request.assumptions:
         return None
@@ -366,7 +368,8 @@ def _build_vector(request: AnalysisRequest, system):
         assignment[principal] = tuple(formulas)
     assumptions = InitialAssumptions.of(assignment)
     return construct_good_runs(
-        system, assumptions, backend=request.backend
+        system, assumptions, pattern_hide=request.pattern_hide,
+        backend=request.backend,
     ).vector
 
 

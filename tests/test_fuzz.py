@@ -546,18 +546,19 @@ class TestOracleSelection:
 
 
 def _skip_first_stratum(system, assumptions, pattern_hide=False,
-                        engine="worklist"):
+                        engine="worklist", backend="belief"):
     """A planted construction bug: the depth-1 strata never filter."""
     from repro.goodruns.construction import ConstructionResult
-    from repro.semantics.compiler import compiled_for
+    from repro.semantics.backend import get_backend
     from repro.semantics.goodvectors import GoodRunVector
 
     all_names = frozenset(run.name for run in system.runs)
     current = {p: all_names for p in system.principals()}
     stages = [GoodRunVector.of(current)]
     for depth in range(1, assumptions.max_depth + 1):
-        evaluator = compiled_for(system, stages[-1],
-                                 pattern_hide=pattern_hide)
+        evaluator = get_backend(backend).compile(
+            system, stages[-1], pattern_hide=pattern_hide
+        )
         updated = {}
         for principal in system.principals():
             good = current[principal]
@@ -619,6 +620,40 @@ class TestGoodrunsFamilyInHarness:
             c["failure"]["oracle"].startswith("goodruns_")
             for c in record["counterexamples"]
         )
+
+
+class TestCompiledFamilyInHarness:
+    """The compiled oracle compares each backend's bitset engine with
+    its interpreter under a restricting good-run vector too."""
+
+    def test_vector_cases_are_counted_and_green(self):
+        config = FuzzConfig(
+            seed=1, iterations=4, parallel_every=0, oracles=("compiled",),
+        )
+        report = run_fuzz(config)
+        assert report.ok, [c.to_json() for c in report.counterexamples]
+        # Seven cases per iteration: belief under pattern hide, and
+        # None -> vector -> None under each backend.
+        checks = report.oracle_checks["compiled_vs_interpreted"]
+        assert checks % 7 == 0 and checks > 0
+
+    def test_vector_blind_belief_memo_is_caught(self, monkeypatch):
+        """The planted bug: the belief memo key drops the good-run sets,
+        so a bitset computed at one vector is served at another."""
+        from repro.semantics.compiler import CompiledSystem
+
+        monkeypatch.setattr(
+            CompiledSystem, "_memo_key", lambda self, formula: formula
+        )
+        report = run_fuzz(FuzzConfig(
+            seed=1, iterations=4, parallel_every=0, oracles=("compiled",),
+        ))
+        assert not report.ok
+        assert {
+            c.failure.oracle for c in report.counterexamples
+        } == {"compiled_vs_interpreted"}
+        # Each carries the interpreter's why-false tree at its vector.
+        assert all(c.trace for c in report.counterexamples)
 
 
 class TestHideMonotonicityPlantedBug:

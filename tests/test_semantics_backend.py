@@ -28,6 +28,7 @@ from repro.fuzz.oracles import (
     sample_points,
 )
 from repro.goodruns.construction import construct_good_runs
+from repro.obs import journal
 from repro.protocols import (
     forwarding,
     kerberos,
@@ -45,13 +46,9 @@ from repro.semantics.backend import (
     get_backend,
 )
 from repro.semantics.compiler import compiled_for
-from repro.semantics.epistemic import (
-    CompiledEpistemicSystem,
-    EpistemicBackend,
-    EpistemicEvaluator,
-    compiled_epistemic_for,
-)
+from repro.semantics.epistemic import EpistemicBackend, EpistemicEvaluator
 from repro.semantics.evaluator import Evaluator
+from repro.semantics.goodvectors import GoodRunVector
 from repro.soundness import GeneratorConfig, generate_system
 from repro.soundness.audit import assumptions_vector
 from repro.terms.ops import has_belief_under_negation
@@ -146,7 +143,9 @@ class TestCorpusParity:
             "belief_interp": Evaluator(system, vector),
             "belief_compiled": compiled_for(system, vector),
             "epistemic_interp": EpistemicEvaluator(system, vector),
-            "epistemic_compiled": compiled_epistemic_for(system, vector),
+            "epistemic_compiled": get_backend("epistemic").compile(
+                system, vector
+            ),
         }
         return system, formulas, engines
 
@@ -194,64 +193,67 @@ class TestCorpusParity:
 
 class TestEpistemicEngine:
     def test_compiled_cache_keys_do_not_alias_belief(self):
-        """The epistemic compiled cache rides the same context table as
-        belief's but under a backend-tagged key: the same (system,
-        vector) must yield distinct engines per backend."""
+        """Both backends' compilations ride the same context table under
+        backend-tagged keys: the same system must yield distinct
+        engines per backend, each cached independently, and every
+        vector is a handle on its backend's one compilation."""
         with context.use(context.fresh("cache-alias")):
             system = generate_system(GeneratorConfig(seed=5, runs=2))
             belief = compiled_for(system)
-            epistemic = compiled_epistemic_for(system)
+            epistemic = get_backend("epistemic").compile(system)
             assert belief is not epistemic
-            assert isinstance(epistemic, CompiledEpistemicSystem)
-            assert not isinstance(belief, CompiledEpistemicSystem)
+            assert belief.backend.name == "belief"
+            assert epistemic.backend.name == "epistemic"
             # Each engine is cached independently.
             assert compiled_for(system) is belief
-            assert compiled_epistemic_for(system) is epistemic
+            assert get_backend("epistemic").compile(system) is epistemic
+            vector = GoodRunVector.of(
+                {system.principals()[0]: [system.runs[0].name]}
+            )
+            handle = get_backend("epistemic").compile(system, vector)
+            assert handle.goodruns == vector
+            assert handle._bits is epistemic._bits
+            assert context.current().counters["compiled_eval.system_miss"] == 2
 
     def test_backend_capability_flags(self):
-        assert BeliefBackend.supports_vector_eval
         assert BeliefBackend.supports_tracing
         assert EpistemicBackend.supports_tracing
-        assert not EpistemicBackend.supports_vector_eval
 
-    def test_worklist_demoted_to_naive_for_epistemic(self):
-        """The worklist engine's bitset algebra encodes belief's clause
-        only; asking for it under the epistemic backend must fall back
-        to the stage-by-stage engine, counted, and still agree with the
-        naive engine asked for explicitly."""
+    def test_worklist_agrees_with_naive_for_epistemic(self):
+        """The worklist engine runs under the epistemic backend — no
+        demotion, one compilation — and its stages equal the naive
+        engine's, whose interpreter is the reference."""
         module, factory, _run = SYSTEM_CASES[4]  # wide-mouth-frog: small
         protocol = factory()
         system = module.build_system()
         assumptions = assumptions_vector(protocol)
-        with context.use(context.fresh("demotion")):
-            demoted = construct_good_runs(
+        with context.use(context.fresh("epistemic-worklist")):
+            worklist = construct_good_runs(
                 system, assumptions, engine="worklist", backend="epistemic"
             )
-            forced = context.current().counters.get(
-                "goodruns.backend_forced_naive", 0
-            )
-            assert forced >= 1
+            counters = context.current().counters
+            assert counters["compiled_eval.system_miss"] == 1
+            assert "goodruns.backend_forced_naive" not in counters
+            kinds = {event["kind"] for event in journal.snapshot()}
+            assert "construction_demoted" not in kinds
             naive = construct_good_runs(
                 system, assumptions, engine="naive", backend="epistemic"
             )
-        assert demoted.vector == naive.vector
-
-
-class _AlwaysBelievesSystem(CompiledEpistemicSystem):
-    """The planted bug: a Believes clause that is true everywhere."""
-
-    def belief_clause(self, groups, body_bits):
-        return self.full_mask
+        assert worklist.stages == naive.stages
+        assert worklist.depth >= 1
 
 
 class _BuggyEpistemicBackend(EpistemicBackend):
-    """An epistemic backend whose beliefs hold unconditionally —
-    guaranteed to violate the containment wherever belief says no."""
+    """The planted bug: an epistemic backend whose Believes clause is
+    true on every view class — guaranteed to violate the containment
+    wherever belief says no."""
 
-    def compile(self, system, goodruns=None, pattern_hide=False):
-        return _AlwaysBelievesSystem(
-            system, goodruns, pattern_hide=pattern_hide
-        )
+    @staticmethod
+    def belief_clause(groups, body):
+        bits = 0
+        for members, _possible in groups:
+            bits |= members
+        return bits
 
 
 class TestCrossBackendOracle:

@@ -37,6 +37,7 @@ from repro.fuzz.oracles import (
 from repro.model import Interpretation, RunBuilder, system_of
 from repro.obs.trace import Tracer, render_why, trace_records
 from repro.semantics import Evaluator
+from repro.semantics.backend import BeliefBackend
 from repro.semantics.compiler import CompiledSystem, compiled_for
 from repro.semantics.goodvectors import GoodRunVector
 from repro.soundness import GeneratorConfig, generate_system
@@ -121,16 +122,14 @@ class TestOracleCatchesPlantedBugs:
         belief = Believes(principal, Prim(system.vocabulary.proposition("p0")))
         points = tuple(system.points())[:4]
 
-        def buggy(self, groups, body_bits):
+        def buggy(groups, body):
             bits = 0
-            for member_bits, possible_bits in groups:
-                if possible_bits and (
-                    possible_bits & body_bits == possible_bits
-                ):
-                    bits |= member_bits
+            for members, possible in groups:
+                if possible and possible & body == possible:
+                    bits |= members
             return bits
 
-        monkeypatch.setattr(CompiledSystem, "belief_clause", buggy)
+        monkeypatch.setattr(BeliefBackend, "belief_clause", staticmethod(buggy))
         # Drop any honestly-compiled (memoized) nodes for this system.
         _context.current().compiled_systems.clear()
         failures = check_compiled_differential(
@@ -555,6 +554,131 @@ class TestCompiledCacheKeying:
         # dataclass pickling restores fields without __post_init__, so
         # a shipped system collides with its origin's serial space.
         assert revived.serial == system.serial
+
+
+# ---------------------------------------------------------------------------
+# One compilation, many good-run vectors
+# ---------------------------------------------------------------------------
+
+
+def _vector_system():
+    """Three runs A cannot tell apart, with a belief said and a
+    principal that is not everywhere.
+
+    * B says the formula ``A believes q`` (after time 0) in r1 only, so
+      ``B controls A believes q`` turns on A's good runs;
+    * S has local state in r1 and r2 but not in r3, so beliefs of S
+      cannot be compiled and fall back to the interpreter;
+    * ``p`` holds in r1, ``q`` in r1 and r2.
+    """
+    p, q = PROPS
+    runs = []
+    for name, members in (("r1", (A, B, S)), ("r2", (A, B, S)),
+                          ("r3", (A, B))):
+        keysets = {A: [Kab], B: [Kab, Kbs], S: [Kbs]}
+        builder = RunBuilder(
+            members, keysets={m: keysets[m] for m in members}
+        )
+        builder.send(A, encrypted(Na, Kab, A), B)
+        builder.receive(B)
+        builder.mark_epoch()
+        if name == "r1":
+            builder.send(B, group(Nb, Believes(A, Prim(q))), A)
+        else:
+            builder.send(B, Nb, A)
+        builder.receive(A)
+        if S in members:
+            builder.send(S, encrypted(Ts, Kbs, S), B)
+            builder.receive(B)
+        else:
+            builder.idle()
+            builder.idle()
+        runs.append(builder.build(name))
+    interpretation = Interpretation.from_run_table(
+        {p: ["r1"], q: ["r1", "r2"]}
+    )
+    return system_of(runs, interpretation, VOCAB)
+
+
+def _vector_formulas():
+    from repro.terms import Controls, ForAll, Has, Not, Or
+
+    p, q = (Prim(prop) for prop in PROPS)
+    return {
+        "forall": ForAll(KEY_PARAM, Believes(A, Or(Has(B, KEY_PARAM), q))),
+        "controls": Controls(B, Believes(A, q)),
+        "negation": Not(Believes(A, p)),
+        "nested": Believes(B, Believes(A, q)),
+        "non-uniform": Believes(A, Believes(S, q)),
+    }
+
+
+#: Interleaved queries: each vector comes back after others were asked.
+_VECTORS = (
+    None,
+    GoodRunVector.of({A: ["r1"]}),
+    GoodRunVector.of({A: ["r2", "r3"], B: ["r1"]}),
+    None,
+    GoodRunVector.of({A: []}),
+    GoodRunVector.of({A: ["r1"]}),
+    None,
+    # Every run named: as unrestricted as None for A.
+    GoodRunVector.of({A: ["r1", "r2", "r3"], B: ["r2"]}),
+)
+
+
+class TestOneCompilationManyVectors:
+    @pytest.mark.parametrize("backend", ["belief", "epistemic"])
+    def test_interleaved_vectors_match_fresh_interpreters(self, backend):
+        from repro.semantics.backend import get_backend
+
+        system = _vector_system()
+        formulas_ = _vector_formulas()
+        with _context.use(_context.fresh("many-vectors")):
+            resolved = get_backend(backend)
+            verdicts = {name: set() for name in formulas_}
+            for vector in _VECTORS:
+                compiled = resolved.compile(system, vector)
+                interpreter = resolved.interpreter(system, vector)
+                for name, formula in formulas_.items():
+                    expected = [
+                        _outcome(interpreter, formula, run, k)
+                        for run, k in system.points()
+                    ]
+                    assert [
+                        _outcome(compiled, formula, run, k)
+                        for run, k in system.points()
+                    ] == expected, (backend, name, vector)
+                    verdicts[name].add(tuple(expected))
+            counters = _context.current().counters
+            assert counters["compiled_eval.system_miss"] == 1
+        # Every case compiles except the non-uniform principal's, and
+        # the vector moves the verdicts of each.
+        compiled = compiled_for(system)
+        for name, formula in formulas_.items():
+            assert compiled.can_compile(formula) is (name != "non-uniform")
+            assert len(verdicts[name]) > 1, name
+
+    def test_memo_that_ignores_the_vector_is_caught(self, monkeypatch):
+        """The planted bug: belief bitsets memoized under the formula
+        alone.  Asked at None, then at a restricting vector, the stale
+        top-vector bitset comes back and the oracle flags it."""
+        system = _vector_system()
+        formulas_ = list(_vector_formulas().values())
+        points = tuple(system.points())
+        monkeypatch.setattr(
+            CompiledSystem, "_memo_key", lambda self, formula: formula
+        )
+        with _context.use(_context.fresh("coarse-memo")):
+            failures = [
+                failure
+                for vector in (None, GoodRunVector.of({A: ["r1"]}), None)
+                for failure in check_compiled_differential(
+                    system, formulas_, points, goodruns=vector
+                )
+            ]
+        assert failures
+        assert {f.oracle for f in failures} == {"compiled_vs_interpreted"}
 
 
 # ---------------------------------------------------------------------------

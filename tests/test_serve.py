@@ -381,6 +381,61 @@ class TestBackends:
 
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("backend, pattern_hide", [
+        ("belief", False), ("epistemic", False), ("epistemic", True),
+    ])
+    def test_assumption_map_request_compiles_once(
+        self, backend, pattern_hide
+    ):
+        """The good-runs construction and the verdict query one
+        compilation of the system, and answer as the naive construction
+        and the backend's interpreter do."""
+        from repro.goodruns import InitialAssumptions, construct_good_runs
+        from repro.semantics.backend import get_backend
+        from repro.soundness import GeneratorConfig, generate_system
+        from repro.terms.atoms import Principal
+        from repro.terms.formulas import Believes
+        from repro.terms.parser import parse_formula
+
+        payload = dict(
+            SMALL_SYSTEM, runs=3, steps=14, backend=backend,
+            pattern_hide=pattern_hide, formula="P2 believes (P1 said N1)",
+            assumptions={"P1": ["P1 sees N1"], "P2": ["P1 believes p0"]},
+        )
+
+        @_serve_test(ServeConfig(workers=1))
+        async def daemon(daemon, host, port):
+            status, body = await _post(payload, host, port)
+            assert status == 200, body
+            daemon.answer = body
+
+        assert daemon.root.counters["compiled_eval.system_miss"] == 1
+        system = generate_system(GeneratorConfig(
+            seed=payload["seed"], runs=3, steps_per_run=14))
+        parse = lambda text: parse_formula(text, system.vocabulary)
+        vector = construct_good_runs(
+            system,
+            InitialAssumptions.of({
+                Principal(name): tuple(
+                    Believes(Principal(name), parse(text)) for text in texts)
+                for name, texts in payload["assumptions"].items()
+            }),
+            pattern_hide=pattern_hide, engine="naive", backend=backend,
+        ).vector
+        interpreter = get_backend(backend).interpreter(
+            system, vector, pattern_hide=pattern_hide)
+        failures = sum(
+            not interpreter.evaluate(parse(payload["formula"]), run, k)
+            for run, k in system.points()
+        )
+        answer = daemon.answer
+        assert answer["good_runs"] == {
+            principal.name: sorted(names)
+            for principal, names in vector.entries
+        }
+        assert answer["failures"] == failures
+        assert answer["verdict"] is (failures == 0)
+
     def test_backend_is_part_of_the_batch_key(self):
         """Same generated system under different backends must not share
         warm compiled state: the batch key includes the backend name."""
